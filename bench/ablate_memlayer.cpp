@@ -42,7 +42,6 @@
 #include "bench_common.hpp"
 #include "hybrids/ds/hybrid_btree.hpp"
 #include "hybrids/ds/hybrid_skiplist.hpp"
-#include "hybrids/ds/lockfree_skiplist.hpp"
 #include "hybrids/ds/seq_skiplist.hpp"
 #include "hybrids/ds/seqlock_btree.hpp"
 #include "hybrids/mem/memlayer.hpp"
@@ -274,15 +273,6 @@ void run_mode_a(const ModeATargets targets[2],
 int main(int argc, char** argv) {
   hb::Options opt = hb::parse_options(argc, argv);
   hb::StatsSession stats(opt);
-
-  if (!hm::kArenaCompiledIn) {
-    std::cerr << "note: built with HYBRIDS_NO_ARENA — the arena=on arms "
-                 "degenerate to passthrough\n";
-  }
-  if (!hm::kPrefetchCompiledIn) {
-    std::cerr << "note: built with HYBRIDS_NO_PREFETCH — the prefetch=on "
-                 "arms are no-ops\n";
-  }
 
   const std::uint64_t keys =
       opt.keys ? opt.keys : (opt.full ? 1ull << 20 : 1ull << 18);

@@ -20,7 +20,7 @@
 //                        trace-event JSON on exit (chrome://tracing,
 //                        ui.perfetto.dev) and print a per-phase latency
 //                        breakdown to stderr (needs a build without
-//                        -DHYBRIDS_NO_TRACE / -DHYBRIDS_NO_TELEMETRY)
+//                        -DHYBRIDS_NO_TELEMETRY)
 //   --trace-sample=N     trace 1 in N operations (default 1 when
 //                        --trace-json is given; 0 disables tracing)
 //   --fault-seed=N       arm the fault injector with seed N (needs a build
@@ -242,16 +242,16 @@ inline Options parse_options(int argc, char** argv) {
     } else if (const char* v = value_of("--trace-json=")) {
       if (!trace::kCompiledIn) {
         std::cerr << "error: --trace-json requires a build without "
-                     "-DHYBRIDS_NO_TRACE / -DHYBRIDS_NO_TELEMETRY (the "
-                     "tracing layer is compiled out of this binary)\n";
+                     "-DHYBRIDS_NO_TELEMETRY (the tracing layer is compiled "
+                     "out of this binary)\n";
         std::exit(2);
       }
       opt.trace_json = v;
     } else if (const char* v = value_of("--trace-sample=")) {
       if (!trace::kCompiledIn) {
         std::cerr << "error: --trace-sample requires a build without "
-                     "-DHYBRIDS_NO_TRACE / -DHYBRIDS_NO_TELEMETRY (the "
-                     "tracing layer is compiled out of this binary)\n";
+                     "-DHYBRIDS_NO_TELEMETRY (the tracing layer is compiled "
+                     "out of this binary)\n";
         std::exit(2);
       }
       opt.trace_sample =

@@ -40,10 +40,8 @@
 // concurrent readers never chase freed memory (resizes are controller
 // knobs, rate-limited by its hysteresis — the parked set stays tiny).
 //
-// Compile-out: -DHYBRIDS_NO_CACHE pins cache_enabled() to a constexpr
-// false (the arena/prefetch convention, mem/memlayer.hpp) — the hybrid
-// structures then never construct a HotCache and every integration site
-// dead-codes behind its null check.
+// Off switch: a structure whose cache_budget_bytes is 0 never constructs a
+// HotCache, and every integration site skips behind its null check.
 #pragma once
 
 #include <atomic>
@@ -58,26 +56,6 @@
 #include "hybrids/util/cache_aligned.hpp"
 
 namespace hybrids::cache {
-
-#if defined(HYBRIDS_NO_CACHE)
-inline constexpr bool kCacheCompiledIn = false;
-inline bool cache_enabled() noexcept { return false; }
-inline void set_cache_enabled(bool) noexcept {}
-#else
-inline constexpr bool kCacheCompiledIn = true;
-inline std::atomic<bool>& cache_flag() noexcept {
-  static std::atomic<bool> flag{true};
-  return flag;
-}
-/// Consulted ONCE, when a hybrid structure is constructed (the arena rule:
-/// flip only between structure lifetimes, never mid-run).
-inline bool cache_enabled() noexcept {
-  return cache_flag().load(std::memory_order_relaxed);
-}
-inline void set_cache_enabled(bool on) noexcept {
-  cache_flag().store(on, std::memory_order_relaxed);
-}
-#endif
 
 class HotCache {
  public:
@@ -96,10 +74,10 @@ class HotCache {
     void* node = nullptr;
     std::uint64_t aux = 0;
     std::uint32_t partition = 0;
-    // Fat-node host layout: the fat leaf backing `node`, whose seqlock stamp
-    // rides in `aux` (HostIndex::shortcut_fresh revalidates the pair before
-    // the hit is trusted). Null for layouts whose begin handles never move
-    // (pointer-node skiplist, B+tree).
+    // Hybrid skiplist: the fat leaf backing `node`, whose seqlock stamp
+    // rides in `aux` (FatSkipList::node_version_is revalidates the pair
+    // before the hit is trusted). Null for the B+tree, whose begin handles
+    // never move.
     void* host = nullptr;
   };
 

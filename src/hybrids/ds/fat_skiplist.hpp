@@ -1,19 +1,18 @@
 // Fat-node host index: a concurrent B-link structure with cache-line-sized
-// multi-key nodes, replacing one-key-per-node pointer chasing in the host
-// levels (the B-skiplist layout from PAPERS.md's "Bridging Cache-Friendliness
-// and Concurrency").
+// multi-key nodes — the hybrid skiplist's host-managed levels (the
+// B-skiplist layout from PAPERS.md's "Bridging Cache-Friendliness and
+// Concurrency").
 //
 // Layout. Every node is two cache lines. Line 0 carries the seqlock word,
 // the right-sibling link, packed metadata, the immutable anchor key and a
 // sorted run of up to kFatKeys keys; line 1 carries the matching pointer
-// slots. Leaf (level 0) slots point at LfSkipList::Node records — the same
-// stable per-key entry struct the pointer-node layout uses, so everything
-// downstream (NMP payload counterpart, packed (version,value) mirror CAS,
-// hot-cache begin handles) is layout-agnostic. Index slots point at child
-// fat nodes one level down. Index levels route over *nodes*, not per-entry
-// towers: a leaf split promotes the right sibling's anchor into the parent
-// level, so fanout is ~kFatKeys and a descent costs one (two-line) node per
-// level instead of one line per key.
+// slots. Leaf (level 0) slots point at Entry records — one stable per-key
+// record that everything downstream pins (NMP payload counterpart, packed
+// (version,value) mirror CAS, hot-cache begin handles). Index slots point at
+// child fat nodes one level down. Index levels route over *nodes*, not
+// per-entry towers: a leaf split promotes the right sibling's anchor into
+// the parent level, so fanout is ~kFatKeys and a descent costs one
+// (two-line) node per level instead of one line per key.
 //
 // Readers are lock-free via a per-node seqlock: version bit 0 is the writer
 // lock, bit 1 marks a dead (empty, unlinked-or-unlinking) node, and every
@@ -34,16 +33,18 @@
 //              unlocked CAS could race the predecessor's split and re-link
 //              the corpse), removes the parent routing entry, then retires.
 // Head sentinels per level never die; they may split (the left half stays
-// the head).
+// the head). Writer walks start from a node a top-down descent found (the
+// View's leaf, or locate()) rather than the level head — only unlinking a
+// corpse whose located predecessor died too falls back to the head — so a
+// write costs a descent plus a few nodes at any size.
 //
-// Reclamation. Entries retire through the familiar epoch-stamped Treiber
-// stack back into the pool. Fat nodes also wait out the EBR grace period but
-// are recycled through a structure-private freelist that *preserves the
-// version word across reuse* (monotonically bumped, dead bit cleared): a
-// stale hot-cache shortcut holding (leaf, version) can therefore never
-// revalidate against a later incarnation at the same address — the
-// fat-layout analogue of the paper's never-reuse rule for tall towers.
-// Fat-node memory is only returned to the OS by the destructor.
+// Reclamation. Entries retire through an epoch-stamped Treiber stack back
+// into the pool. Fat nodes also wait out the EBR grace period but are
+// recycled through a structure-private freelist that *preserves the version
+// word across reuse* (monotonically bumped, dead bit cleared): a stale
+// hot-cache shortcut holding (leaf, version) can therefore never revalidate
+// against a later incarnation at the same address. Fat-node memory is only
+// returned to the OS by the destructor.
 #pragma once
 
 #include <atomic>
@@ -52,7 +53,6 @@
 #include <cstdint>
 #include <new>
 
-#include "hybrids/ds/lockfree_skiplist.hpp"
 #include "hybrids/host/interleave.hpp"
 #include "hybrids/mem/ebr.hpp"
 #include "hybrids/mem/memlayer.hpp"
@@ -63,48 +63,61 @@
 
 namespace hybrids::ds {
 
-/// Result of a host-index descent, shared by both engines (FatSkipList::View
-/// and HostIndex::Window). `match`/`pred` are bottom-level entries (pred ==
-/// nullptr means `key` precedes every resident entry). In the fat layout
-/// `leaf`/`leaf_version` name the validated fat node those slots were read
-/// from, the token the hot-cache shortcut tier revalidates with
-/// (node_version_is()); the pointer-node engine leaves them null/0.
-struct IndexWindow {
-  LfSkipList::Node* match = nullptr;
-  LfSkipList::Node* pred = nullptr;
-  void* leaf = nullptr;
-  std::uint64_t leaf_version = 0;
-};
-
-#if defined(HYBRIDS_NO_FATNODE)
-inline constexpr bool kFatnodeCompiledIn = false;
-inline bool fatnode_enabled() noexcept { return false; }
-inline void set_fatnode_enabled(bool) noexcept {}
-#else
-inline constexpr bool kFatnodeCompiledIn = true;
-
-inline std::atomic<bool>& fatnode_flag() noexcept {
-  static std::atomic<bool> on{true};
-  return on;
-}
-/// Consulted once per HostIndex construction (ablations flip it between
-/// arms); existing structures keep the layout they were built with.
-inline bool fatnode_enabled() noexcept {
-  return fatnode_flag().load(std::memory_order_relaxed);
-}
-inline void set_fatnode_enabled(bool on) noexcept {
-  fatnode_flag().store(on, std::memory_order_relaxed);
-}
-
 class FatSkipList {
  public:
-  using Entry = LfSkipList::Node;
-  static constexpr int kMaxLevels = LfSkipList::kMaxLevels;
+  static constexpr int kMaxLevels = 32;
   static constexpr int kFatKeys = 8;
 
   static constexpr std::uint64_t kLockBit = 1;
   static constexpr std::uint64_t kDeadBit = 2;
   static constexpr std::uint64_t kVersionStep = 4;
+
+  /// Values are stored packed with a 32-bit version tag. The hybrid skiplist
+  /// threads the NMP partition's monotonic version through so that host-side
+  /// value mirrors converge under concurrent updates (§3.3's insert/update
+  /// races); a plain insert stores version 0.
+  static std::uint64_t pack_value(std::uint32_t version, Value v) {
+    return (static_cast<std::uint64_t>(version) << 32) | v;
+  }
+  static Value unpack_value(std::uint64_t packed) {
+    return static_cast<Value>(packed & 0xFFFFFFFFu);
+  }
+  static std::uint32_t unpack_version(std::uint64_t packed) {
+    return static_cast<std::uint32_t>(packed >> 32);
+  }
+
+  /// Per-key leaf record. Stable for its incarnation: slots move between fat
+  /// nodes on splits, the Entry never does.
+  struct Entry {
+    Key key;
+    std::atomic<std::uint64_t> value;  // packed (version, value)
+    void* payload;                     // NMP counterpart (begin-node shortcut)
+    std::atomic<Entry*> retire_next;   // Treiber retire-stack link
+    std::uint64_t retire_epoch;        // EBR stamp, set once at retire
+
+    Entry(const Entry&) = delete;
+    Entry& operator=(const Entry&) = delete;
+
+    Value value_now() const {
+      return unpack_value(value.load(std::memory_order_acquire));
+    }
+  };
+
+  /// Versioned value write used by the hybrid skiplist: only installs
+  /// (version, value) if the entry currently holds an older version, so host
+  /// mirrors of NMP values converge regardless of the order in which host
+  /// threads complete their update callbacks.
+  static void update_versioned(Entry* e, std::uint32_t version, Value value) {
+    std::uint64_t cur = e->value.load(std::memory_order_acquire);
+    const std::uint64_t desired = pack_value(version, value);
+    while (unpack_version(cur) < version) {
+      if (e->value.compare_exchange_weak(cur, desired,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+        return;
+      }
+    }
+  }
 
   struct alignas(64) FatNode {
     // --- line 0: everything a descent reads ---
@@ -132,8 +145,17 @@ class FatSkipList {
 #pragma GCC diagnostic pop
 #endif
 
-  /// Result of a descent (see IndexWindow).
-  using View = IndexWindow;
+  /// Result of a descent. `match`/`pred` are bottom-level entries (pred ==
+  /// nullptr means `key` precedes every resident entry — begin at the
+  /// partition head). `leaf`/`leaf_version` name the validated fat node those
+  /// slots were read from: the token the hot-cache shortcut tier revalidates
+  /// with (node_version_is()).
+  struct View {
+    Entry* match = nullptr;
+    Entry* pred = nullptr;
+    void* leaf = nullptr;
+    std::uint64_t leaf_version = 0;
+  };
 
   explicit FatSkipList(int max_height)
       : max_height_(max_height),
@@ -197,7 +219,7 @@ class FatSkipList {
   /// fills `out` either way (miss: match == nullptr, pred = largest-key-below
   /// entry for begin-node derivation). Callers that use the returned entry
   /// pointers after this returns must hold their own EbrGuard around the
-  /// whole window (guards are reentrant), exactly as with LfSkipList::find.
+  /// whole window (guards are reentrant).
   bool find(Key key, View& out) {
     mem::EbrGuard guard;
     std::uint64_t scanned = 0;
@@ -220,10 +242,7 @@ class FatSkipList {
     for (int lvl = max_height_ - 1; lvl >= 0; --lvl) {
       co_await host::prefetch_and_yield(start, sizeof(FatNode));
       walk_level(start, lvl, key, pos, scanned);
-      if (lvl > 0) {
-        start = pos.le.node != nullptr ? static_cast<FatNode*>(pos.le.ptr)
-                                       : heads_[lvl - 1];
-      }
+      if (lvl > 0) start = child_start(pos, lvl);
     }
     keys_scanned_->add(scanned);
     co_return finish_view(pos, key, *out);
@@ -311,19 +330,18 @@ class FatSkipList {
 
   // ----- writers ------------------------------------------------------------
 
-  /// Allocates an entry record (leaf slot target). Same field contract as
-  /// LfSkipList::make_node; `height` is recorded for parity but plays no
-  /// structural role in the fat layout.
-  Entry* make_entry(Key key, Value value, int height, void* payload = nullptr) {
+  /// Allocates an entry record (leaf slot target) that is not yet linked.
+  /// The hybrid skiplist builds it before offloading (Listing 1) so the NMP
+  /// side can record its address as host_ptr, then sets `payload` and links
+  /// it with insert_node() once the NMP portion succeeded.
+  Entry* make_entry(Key key, Value value) {
     void* raw = pool_.allocate(entry_bytes());
     Entry* e = static_cast<Entry*>(raw);
     e->key = key;
-    new (&e->value) std::atomic<std::uint64_t>(LfSkipList::pack_value(0, value));
-    e->height = static_cast<std::uint16_t>(height);
-    e->payload = payload;
+    new (&e->value) std::atomic<std::uint64_t>(pack_value(0, value));
+    e->payload = nullptr;
     new (&e->retire_next) std::atomic<Entry*>(nullptr);
     e->retire_epoch = 0;
-    new (&e->next[0]) std::atomic<std::uintptr_t>(0);
     return e;
   }
 
@@ -337,13 +355,12 @@ class FatSkipList {
     std::uint64_t scanned = 0;
     const LevelPos pos = descend(e->key, scanned);
     keys_scanned_->add(scanned);
-    FatNode* start = pos.owner != nullptr ? pos.owner : heads_[0];
-    return insert_slot(0, start, e->key, e, /*overwrite_dup=*/false) ==
+    return insert_slot(0, pos.owner, e->key, e, /*overwrite_dup=*/false) ==
            SlotIns::kDone;
   }
 
   bool insert(Key key, Value value) {
-    Entry* e = make_entry(key, value, 1);
+    Entry* e = make_entry(key, value);
     if (insert_node(e)) return true;
     free_unlinked(e);
     return false;
@@ -356,7 +373,7 @@ class FatSkipList {
     for (;;) {
       View w;
       if (!find(key, w)) return false;
-      if (remove_slot(0, key, w.match)) {
+      if (remove_slot(0, static_cast<FatNode*>(w.leaf), key, w.match)) {
         retire_entry(w.match);
         maybe_reclaim();
         return true;
@@ -613,28 +630,50 @@ class FatSkipList {
     }
   }
 
-  /// do_walk, retried once from the level head when a non-head start yields
-  /// no <=-slot (the start hint's range may have been swallowed by deaths).
+  /// do_walk, plus the repair for a non-head start that yields no <=-slot:
+  /// its anchor key was removed (every key left exceeds `key`), or it died
+  /// and the hop overshot. The best predecessor then lies left of start's
+  /// range, so the walk resumes from the node a descent for
+  /// start->anchor - 1 reaches (a non-head anchor is never 0) — not from
+  /// the level head, which would cost a scan of the whole level.
   void walk_level(FatNode* start, int lvl, Key key, LevelPos& out,
                   std::uint64_t& scanned) const {
     do_walk(start, key, out, scanned);
     if (out.le.node == nullptr && start != heads_[lvl]) {
-      do_walk(heads_[lvl], key, out, scanned);
+      const LevelPos left = descend(start->anchor - 1, scanned, lvl);
+      do_walk(left.le.node != nullptr ? left.le.node : heads_[lvl], key, out,
+              scanned);
     }
   }
 
-  LevelPos descend(Key key, std::uint64_t& scanned) const {
+  /// Where a descent continues one level below `lvl`: the child routed by
+  /// the largest <=-slot, or the lower level's head when there is none.
+  FatNode* child_start(const LevelPos& pos, int lvl) const {
+    return pos.le.node != nullptr ? static_cast<FatNode*>(pos.le.ptr)
+                                  : heads_[lvl - 1];
+  }
+
+  /// Top-down descent toward `key`, ending with the walk of level `stop`.
+  LevelPos descend(Key key, std::uint64_t& scanned, int stop = 0) const {
     LevelPos pos{};
     FatNode* start = heads_[max_height_ - 1];
-    for (int lvl = max_height_ - 1; lvl >= 0; --lvl) {
+    for (int lvl = max_height_ - 1; lvl >= stop; --lvl) {
       mem::prefetch_object(start, sizeof(FatNode));
       walk_level(start, lvl, key, pos, scanned);
-      if (lvl > 0) {
-        start = pos.le.node != nullptr ? static_cast<FatNode*>(pos.le.ptr)
-                                       : heads_[lvl - 1];
-      }
+      if (lvl > stop) start = child_start(pos, lvl);
     }
     return pos;
+  }
+
+  /// Start node for a writer walk toward `key` at `lvl`: the node holding
+  /// the largest key <= `key` that a descent sees there (anchor <= key by
+  /// construction), or the level head when there is none. These internal
+  /// descents stay out of host.node_keys_scanned, which counts the lookup
+  /// and insert descents callers asked for.
+  FatNode* locate(int lvl, Key key) const {
+    std::uint64_t scanned = 0;
+    const LevelPos pos = descend(key, scanned, lvl);
+    return pos.le.node != nullptr ? pos.le.node : heads_[lvl];
   }
 
   bool finish_view(const LevelPos& pos, Key key, View& out) const {
@@ -707,7 +746,8 @@ class FatSkipList {
     FatNode* n = start;
     for (;;) {
       if (n == nullptr || n->anchor > key) {
-        n = heads_[lvl];
+        // Hopped off a dead node past the owner (or no start): re-descend.
+        n = locate(lvl, key);
         continue;
       }
       FatNode* nx = n->next.load(std::memory_order_acquire);
@@ -783,29 +823,29 @@ class FatSkipList {
     unlock_node(n, v, true);
     splits_->inc();
     if (lvl + 1 < max_height_) {
-      insert_slot(lvl + 1, heads_[lvl + 1], ranchor, right,
+      insert_slot(lvl + 1, locate(lvl + 1, ranchor), ranchor, right,
                   /*overwrite_dup=*/true);
       // The sibling may have emptied and died before our routing entry
       // landed, in which case its remover's sweep ran too early — sweep it
       // ourselves. (Its seq_cst kill store and our routing publication are
       // totally ordered, so at least one side observes the other.)
       if ((right->version.load(std::memory_order_acquire) & kDeadBit) != 0) {
-        remove_slot(lvl + 1, ranchor, right);
+        remove_slot(lvl + 1, locate(lvl + 1, ranchor), ranchor, right);
       }
     }
   }
 
-  /// Locked removal of the slot for `key` at `lvl`, only if it still maps to
-  /// `expected` (a leaf entry or a routed child — the identity check is what
-  /// makes racing removers and routing sweeps safe). Handles node death:
-  /// kill, unlink from a locked predecessor, sweep the parent routing entry,
-  /// retire.
-  bool remove_slot(int lvl, Key key, void* expected) {
+  /// Locked removal of the slot for `key` at `lvl`, walking right from
+  /// `start`, only if it still maps to `expected` (a leaf entry or a routed
+  /// child — the identity check is what makes racing removers and routing
+  /// sweeps safe). Handles node death: kill, unlink from a locked
+  /// predecessor, sweep the parent routing entry, retire.
+  bool remove_slot(int lvl, FatNode* start, Key key, void* expected) {
     mem::EbrGuard guard;
-    FatNode* n = heads_[lvl];
+    FatNode* n = start;
     for (;;) {
       if (n == nullptr || n->anchor > key) {
-        n = heads_[lvl];
+        n = locate(lvl, key);  // see insert_slot
         continue;
       }
       FatNode* nx = n->next.load(std::memory_order_acquire);
@@ -845,7 +885,9 @@ class FatSkipList {
       if (count == 1 && !is_head(m)) {
         kill_node(n, v);
         unlink_dead(n, lvl);
-        if (lvl + 1 < max_height_) remove_slot(lvl + 1, n->anchor, n);
+        if (lvl + 1 < max_height_) {
+          remove_slot(lvl + 1, locate(lvl + 1, n->anchor), n->anchor, n);
+        }
         retire_fat(n);
       } else {
         unlock_node(n, v, true);
@@ -859,7 +901,13 @@ class FatSkipList {
   /// re-reading `next`, resurrecting the corpse in the new sibling.
   void unlink_dead(FatNode* dead, int lvl) {
     for (;;) {
-      FatNode* p = heads_[lvl];
+      // Walk from the node left of the corpse that a descent reaches. Only
+      // a live start will do: a dead node's `next` can skip a sibling split
+      // in after it was unlinked, which would end the walk below early.
+      FatNode* p = locate(lvl, dead->anchor - 1);
+      if ((p->version.load(std::memory_order_acquire) & kDeadBit) != 0) {
+        p = heads_[lvl];
+      }
       FatNode* nx = p->next.load(std::memory_order_acquire);
       while (nx != nullptr && nx != dead) {
         if (nx->anchor > dead->anchor) return;  // someone already unlinked it
@@ -988,6 +1036,5 @@ class FatSkipList {
   telemetry::Counter* splits_;
   telemetry::Counter* keys_scanned_;
 };
-#endif  // !HYBRIDS_NO_FATNODE
 
 }  // namespace hybrids::ds

@@ -1,20 +1,18 @@
 // Hybrid skiplist (§3.3) — the paper's primary skiplist contribution.
 //
 // The structure is split at a level boundary: the top (total_height -
-// nmp_height) levels form the host-managed portion, a lock-free skiplist
+// nmp_height) levels form the host-managed portion, a concurrent host index
 // whose working set is sized to fit the last-level cache; the bottom
 // nmp_height levels are range-partitioned across NMP partitions, each a
 // sequential skiplist owned by one NMP core. A node of tower height h >
 // nmp_height exists in both portions (host part + NMP part linked by
 // payload/host_ptr cross-references); shorter nodes exist only NMP-side.
 //
-// The host portion lives behind ds::HostIndex: cache-line-sized fat B-link
-// nodes by default (fat_skiplist.hpp — one two-line node per descent level),
-// or the classic pointer-node lock-free skiplist under HYBRIDS_NO_FATNODE /
-// set_fatnode_enabled(false). Both engines produce the same per-key Entry
-// records, so the split-structure protocol below is layout-agnostic; a
-// descent's result is a HostIndex::Window (match + pred entries, plus the
-// fat leaf/version token the shortcut cache revalidates with).
+// The host portion is a ds::FatSkipList: cache-line-sized fat B-link nodes
+// (fat_skiplist.hpp — one two-line node per descent level) over stable
+// per-key Entry records. A descent's result is a FatSkipList::View (match +
+// pred entries, plus the leaf/version token the shortcut cache revalidates
+// with).
 //
 // Host traversals act as shortcuts: the predecessor at the bottom host level
 // supplies the begin-NMP-traversal node for the offloaded remainder of the
@@ -27,19 +25,20 @@
 // portion; removals apply host portion first, then NMP portion — preserving
 // the skiplist property (level i is a subset of level i-1) across the split.
 //
-// Memory: host towers are pool-backed and recycled through an EBR grace
-// period (see lockfree_skiplist.hpp), which adds two rules here. (1) Every
-// window that reads fields of a host node returned by find() — deriving the
-// begin-node shortcut, serving a cache-hit read — runs under a mem::EbrGuard
-// that is dropped *before* the blocking NMP call, so a parked host thread
-// never stalls reclamation. (2) The update path must not dereference the
-// host-node address echoed back in a response (the tower may have been
-// removed and recycled in flight); refresh_mirror() re-finds the live node
-// by key and only writes if it is the very tower the combiner saw. Residual
-// same-address ABA (tower recycled into a new tower for the same key) is
-// harmless because value versions come from the partition's monotonic
-// counter: the new incarnation's mirror is seeded strictly above any stale
-// in-flight version, so update_versioned() discards the stale write.
+// Memory: host entries are pool-backed and recycled through an EBR grace
+// period (see fat_skiplist.hpp), which adds two rules here. (1) Every
+// window that reads fields of a host entry returned by find() — deriving
+// the begin-node shortcut, serving a cache-hit read — runs under a
+// mem::EbrGuard that is dropped *before* the blocking NMP call, so a parked
+// host thread never stalls reclamation. (2) The update path must not
+// dereference the host-entry address echoed back in a response (the entry
+// may have been removed and recycled in flight); refresh_mirror() re-finds
+// the live entry by key and only writes if it is the very entry the
+// combiner saw. Residual same-address ABA (entry recycled into a new entry
+// for the same key) is harmless because value versions come from the
+// partition's monotonic counter: the new incarnation's mirror is seeded
+// strictly above any stale in-flight version, so update_versioned()
+// discards the stale write.
 #pragma once
 
 #include <cassert>
@@ -49,8 +48,7 @@
 #include <vector>
 
 #include "hybrids/cache/hot_cache.hpp"
-#include "hybrids/ds/host_index.hpp"
-#include "hybrids/ds/lockfree_skiplist.hpp"
+#include "hybrids/ds/fat_skiplist.hpp"
 #include "hybrids/ds/seq_skiplist.hpp"
 #include "hybrids/host/interleave.hpp"
 #include "hybrids/mem/ebr.hpp"
@@ -84,8 +82,7 @@ class HybridSkipList {
     std::uint32_t promote_budget = 0;
 
     // Hot-key cache (cache/hot_cache.hpp): shared byte budget for the
-    // value + shortcut tiers; 0 disables (also disabled by
-    // HYBRIDS_NO_CACHE or cache::set_cache_enabled(false) at construction).
+    // value + shortcut tiers; 0 disables.
     // The shortcut tier serves read/update descents; insert/remove/scan
     // keep their full host descent (remove's host-portion-first ordering
     // is semantic, inserts need the host window anyway).
@@ -133,8 +130,7 @@ class HybridSkipList {
         promote_budget_(config.promote_budget) {
     assert(config.total_height > config.nmp_height);
     assert(config.nmp_height >= 1);
-    if (cache::kCacheCompiledIn && cache::cache_enabled() &&
-        config.cache_budget_bytes > 0) {
+    if (config.cache_budget_bytes > 0) {
       cache::HotCache::Config cc;
       cc.budget_bytes = config.cache_budget_bytes;
       cc.value_ratio = config.cache_value_ratio;
@@ -185,7 +181,7 @@ class HybridSkipList {
   // points run it inline (host::run_inline: no Frame is visible, so nothing
   // suspends and the round-trip takes the blocking publication slot).
   // Callers driving a host::Frame submit the `_co` ops directly: the host
-  // descent then suspends at each prefetch (HostIndex::find_co) and the
+  // descent then suspends at each prefetch (FatSkipList::find_co) and the
   // publication round-trip parks on its slot (host::call_co), so sibling
   // operations on the same thread overlap both kinds of dead time
   // (docs/INTERLEAVING.md). Every EbrGuard closes before the op parks.
@@ -231,7 +227,7 @@ class HybridSkipList {
     while (true) {
       const std::uint64_t gen0 = cache_gen(part);
       nmp::Request req;
-      HostIndex::Window w;
+      FatSkipList::View w;
       bool from_shortcut = false;
       const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
       cache::HotCache::Shortcut sc;
@@ -254,7 +250,7 @@ class HybridSkipList {
                               part16);
       } else {
         {
-          mem::EbrGuard guard;  // spans find_co + every Window entry read
+          mem::EbrGuard guard;  // spans find_co + every View entry read
           if (co_await host_.find_co(key, &w)) {
             // Tall node: the value is mirrored host-side; serve from cache.
             host_read_hits_->inc();
@@ -314,7 +310,7 @@ class HybridSkipList {
     while (true) {
       const std::uint64_t gen0 = cache_gen(part);
       nmp::Request req;
-      HostIndex::Window w;
+      FatSkipList::View w;
       bool from_shortcut = false;
       const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
       cache::HotCache::Shortcut sc;
@@ -388,12 +384,12 @@ class HybridSkipList {
     const auto part16 = static_cast<std::int16_t>(part);
     while (true) {
       const int height = random_height(*rngs_[tid], config_.total_height);
-      LfSkipList::Node* hnode = nullptr;
+      FatSkipList::Entry* hnode = nullptr;
       nmp::Request req;
       const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
       {
         mem::EbrGuard guard;
-        HostIndex::Window w;
+        FatSkipList::View w;
         if (co_await host_.find_co(key, &w)) {  // tall node present
           if (tok.sampled()) {
             const std::uint64_t now = telemetry::now_ns();
@@ -403,9 +399,7 @@ class HybridSkipList {
           }
           co_return false;
         }
-        if (height > config_.nmp_height) {
-          hnode = host_.make_node(key, value, height - config_.nmp_height);
-        }
+        if (height > config_.nmp_height) hnode = host_.make_entry(key, value);
         req = make_request(nmp::OpCode::kInsert, key, value,
                            static_cast<std::uint64_t>(height), w.pred, hnode,
                            part, budget.exhausted());
@@ -439,11 +433,11 @@ class HybridSkipList {
       if (hnode != nullptr) {
         hnode->payload = r.node;  // NMP counterpart (begin-node shortcut)
         // Seed the mirror at the insert-time version (r.aux) before linking:
-        // if this tower's memory was previously a removed tower for the same
+        // if this entry's memory was previously a removed entry for the same
         // key, any stale in-flight refresh carries a strictly older version
         // and update_versioned discards it.
-        LfSkipList::update_versioned(hnode, static_cast<std::uint32_t>(r.aux),
-                                     value);
+        FatSkipList::update_versioned(hnode, static_cast<std::uint32_t>(r.aux),
+                                      value);
         if (!host_.insert_node(hnode)) {
           // Cannot happen while the NMP insert above owns the key; defensive.
           host_.free_unlinked(hnode);
@@ -468,7 +462,7 @@ class HybridSkipList {
       const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
       {
         mem::EbrGuard guard;
-        HostIndex::Window w;
+        FatSkipList::View w;
         if (co_await host_.find_co(key, &w)) {
           // Host portion first (removals proceed top-down across the split).
           if (!host_.remove(key)) {
@@ -545,7 +539,7 @@ class HybridSkipList {
       nmp::Request r;
       {
         mem::EbrGuard guard;
-        HostIndex::Window w;
+        FatSkipList::View w;
         (void)co_await host_.find_co(cur, &w);
         r = make_request(nmp::OpCode::kScan, cur, static_cast<Value>(want), 0,
                          w.pred, nullptr, p, budget.exhausted());
@@ -605,13 +599,12 @@ class HybridSkipList {
       promoted_.fetch_sub(1, std::memory_order_relaxed);
       return;
     }
-    const int host_h = random_height(*rngs_[tid], config_.host_height());
-    LfSkipList::Node* hnode = host_.make_node(key, 0, host_h);
+    FatSkipList::Entry* hnode = host_.make_entry(key, 0);
     const std::uint32_t part = set_.partition_of(key);
     nmp::Request req;
     {
       mem::EbrGuard guard;
-      HostIndex::Window w;
+      FatSkipList::View w;
       (void)host_.find(key, w);
       req = make_request(nmp::OpCode::kPromote, key, 0, 0, w.pred, hnode,
                          part, /*force_head=*/false);
@@ -625,8 +618,8 @@ class HybridSkipList {
     // Seed the host mirror with the value captured at promotion time, then
     // link it; later updates supersede it via versioning (the promote bumped
     // the NMP-side version, so r.aux is strictly newer than any prior update).
-    LfSkipList::update_versioned(hnode, static_cast<std::uint32_t>(r.aux),
-                                 r.value);
+    FatSkipList::update_versioned(hnode, static_cast<std::uint32_t>(r.aux),
+                                  r.value);
     hnode->payload = r.node;
     if (!host_.insert_node(hnode)) {
       host_.free_unlinked(hnode);
@@ -650,8 +643,8 @@ class HybridSkipList {
     return promote_budget_.load(std::memory_order_relaxed);
   }
 
-  /// The hot-key cache, or nullptr when disabled (budget 0, runtime flag
-  /// off, or HYBRIDS_NO_CACHE). Exposed for the controller and tests.
+  /// The hot-key cache, or nullptr when disabled (budget 0). Exposed for the
+  /// controller and tests.
   cache::HotCache* hot_cache() { return cache_.get(); }
 
   // ----- introspection (quiescent-only) --------------------------------------
@@ -677,7 +670,7 @@ class HybridSkipList {
     if (!host_.validate()) return false;
     // Every host entry must reference a live NMP counterpart with equal key.
     bool ok = true;
-    host_.for_each_entry([&](LfSkipList::Node* n) {
+    host_.for_each_entry([&](FatSkipList::Entry* n) {
       auto* counterpart = static_cast<SeqSkipList::Node*>(n->payload);
       if (counterpart == nullptr || counterpart->key != n->key ||
           counterpart->marked || counterpart->host_ptr != n) {
@@ -690,9 +683,10 @@ class HybridSkipList {
   /// Number of nodes in the host-managed portion (for split-sizing tests).
   std::size_t host_size() const { return host_.size(); }
 
-  /// Host towers awaiting their reclamation grace period (bounded under
-  /// churn; see LfSkipList). Tests drain with host_reclaim() — each call
-  /// also advances the epoch, so a few quiescent calls empty the set.
+  /// Host entries and fat nodes awaiting their reclamation grace period
+  /// (bounded under churn; see FatSkipList). Tests drain with
+  /// host_reclaim() — each call also advances the epoch, so a few quiescent
+  /// calls empty the set.
   std::size_t host_retired_count() const { return host_.retired_count(); }
   std::size_t host_reclaim() { return host_.reclaim_retired(); }
 
@@ -761,20 +755,21 @@ class HybridSkipList {
   }
 
   /// Refreshes the host-side value mirror named by an NMP update response.
-  /// Never dereferences r.node: the tower it names may have been removed and
-  /// recycled while the response was in flight. Instead re-find the key's
-  /// live host node under a guard and only install the versioned value if it
-  /// is the very tower the combiner saw. If the address was recycled into a
-  /// *new* tower for the same key, the identity check passes vacuously but
-  /// the write is still discarded: the new mirror was seeded at a version
-  /// above r.aux (versions are partition-monotonic across re-inserts).
+  /// Never dereferences r.node: the entry it names may have been removed
+  /// and recycled while the response was in flight. Instead re-find the
+  /// key's live host entry under a guard and only install the versioned
+  /// value if it is the very entry the combiner saw. If the address was
+  /// recycled into a *new* entry for the same key, the identity check passes
+  /// vacuously but the write is still discarded: the new mirror was seeded
+  /// at a version above r.aux (versions are partition-monotonic across
+  /// re-inserts).
   void refresh_mirror(Key key, const nmp::Response& r, Value value) {
     if (r.node == nullptr) return;
     mem::EbrGuard guard;
-    LfSkipList::Node* n = host_.get_node(key);
-    if (n == static_cast<LfSkipList::Node*>(r.node)) {
-      LfSkipList::update_versioned(n, static_cast<std::uint32_t>(r.aux),
-                                   value);
+    FatSkipList::Entry* n = host_.get_node(key);
+    if (n == static_cast<FatSkipList::Entry*>(r.node)) {
+      FatSkipList::update_versioned(n, static_cast<std::uint32_t>(r.aux),
+                                    value);
     }
   }
 
@@ -782,8 +777,8 @@ class HybridSkipList {
   /// produced `pred0` through this call: the shortcut derivation reads
   /// pred0's key and payload.
   nmp::Request make_request(nmp::OpCode op, Key key, Value value,
-                            std::uint64_t aux, LfSkipList::Node* pred0,
-                            LfSkipList::Node* hnode, std::uint32_t part,
+                            std::uint64_t aux, FatSkipList::Entry* pred0,
+                            FatSkipList::Entry* hnode, std::uint32_t part,
                             bool force_head) const {
     nmp::Request r;
     r.op = op;
@@ -792,7 +787,7 @@ class HybridSkipList {
     r.aux = aux;
     r.host_node = hnode;
     // Begin-NMP-traversal node (Listing 1 lines 14-15): only usable if a
-    // host-side predecessor exists (Window::pred is null when the key
+    // host-side predecessor exists (View::pred is null when the key
     // precedes every host entry) and lives in the same partition as the
     // lookup key, and not suppressed by an exhausted retry budget
     // (force_head).
@@ -803,13 +798,13 @@ class HybridSkipList {
     return r;
   }
 
-  /// Fat-layout shortcuts carry the backing host leaf and its seqlock stamp
-  /// in (host, aux); a moved leaf means the cached begin node may already be
-  /// unlinked, so drop the entry and descend for real instead of eating a
-  /// bounced offload round-trip. Entries with host == nullptr (pointer-node
-  /// engine, whose begin candidates never move) are always fresh.
+  /// Shortcuts carry the backing host leaf and its seqlock stamp in (host,
+  /// aux) — every fill passes the View's leaf, which is set whenever a pred
+  /// derived the begin node. A moved leaf means the cached begin node may
+  /// already be unlinked, so drop the entry and descend for real instead of
+  /// eating a bounced offload round-trip.
   bool shortcut_stale(const cache::HotCache::Shortcut& sc) const {
-    return sc.host != nullptr && !host_.shortcut_fresh(sc.host, sc.aux);
+    return !host_.node_version_is(sc.host, sc.aux);
   }
 
  public:
@@ -929,7 +924,7 @@ class HybridSkipList {
 
  private:
   Config config_;
-  HostIndex host_;
+  FatSkipList host_;
   nmp::PartitionSet set_;
   std::vector<std::unique_ptr<SeqSkipList>> lists_;
   std::vector<util::CacheAligned<util::Xoshiro256>> rngs_;

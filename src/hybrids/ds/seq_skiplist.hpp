@@ -36,8 +36,17 @@
 #include "hybrids/mem/arena.hpp"
 #include "hybrids/mem/memlayer.hpp"
 #include "hybrids/types.hpp"
+#include "hybrids/util/rng.hpp"
 
 namespace hybrids::ds {
+
+/// Draws a tower height from the paper's distribution: every node appears at
+/// level 0; a node at level i appears at level i+1 with probability 1/2.
+inline int random_height(util::Xoshiro256& rng, int max_height) {
+  int h = 1;
+  while (h < max_height && (rng.next() & 1) != 0) ++h;
+  return h;
+}
 
 class SeqSkipList {
  public:

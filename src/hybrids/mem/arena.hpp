@@ -16,8 +16,8 @@
 //
 // Size classes are multiples of 64 bytes up to 1KB; larger blocks (none of
 // the runtime node types need one) fall through to aligned operator new.
-// With -DHYBRIDS_NO_ARENA, or when mem::arena_enabled() was false at
-// construction, every call is a passthrough to aligned operator new/delete,
+// When mem::arena_enabled() was false at construction, every call is a
+// passthrough to aligned operator new/delete,
 // preserving the alignment guarantee so callers never care which mode is on.
 #pragma once
 

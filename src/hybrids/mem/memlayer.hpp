@@ -1,19 +1,14 @@
-// Memory-layer switches: one compile-time kill per mechanism (so ablations
-// against a build without the code are honest) plus one runtime toggle per
-// mechanism (so one binary can sweep arena-on/off × prefetch-on/off, as
-// bench/ablate_memlayer.cpp does).
+// Memory-layer switches: one runtime toggle per mechanism, so one binary can
+// sweep arena-on/off × prefetch-on/off (bench/ablate_memlayer.cpp;
+// micro_library_bench --pool=malloc turns the arenas off).
 //
-// The runtime toggles are process-global and read-mostly:
+// The toggles are process-global and read-mostly:
 //  - set_arena_enabled() is consulted ONCE, when an arena or pool is
 //    constructed; every allocation of that instance then follows the captured
 //    decision, so allocate/deallocate stay symmetric even if the flag flips
 //    mid-run. Flip it only between structure lifetimes.
 //  - prefetch_enabled() is consulted per prefetch site (a relaxed load of a
 //    read-mostly cache line; the branch predicts perfectly in a sweep arm).
-//
-// Compiling with -DHYBRIDS_NO_ARENA / -DHYBRIDS_NO_PREFETCH pins the
-// corresponding toggle to false with a constexpr, which dead-codes the arena
-// fast paths / the __builtin_prefetch calls entirely.
 #pragma once
 
 #include <atomic>
@@ -21,12 +16,6 @@
 
 namespace hybrids::mem {
 
-#if defined(HYBRIDS_NO_ARENA)
-inline constexpr bool kArenaCompiledIn = false;
-inline bool arena_enabled() noexcept { return false; }
-inline void set_arena_enabled(bool) noexcept {}
-#else
-inline constexpr bool kArenaCompiledIn = true;
 inline std::atomic<bool>& arena_flag() noexcept {
   static std::atomic<bool> flag{true};
   return flag;
@@ -37,16 +26,7 @@ inline bool arena_enabled() noexcept {
 inline void set_arena_enabled(bool on) noexcept {
   arena_flag().store(on, std::memory_order_relaxed);
 }
-#endif
 
-#if defined(HYBRIDS_NO_PREFETCH)
-inline constexpr bool kPrefetchCompiledIn = false;
-inline bool prefetch_enabled() noexcept { return false; }
-inline void set_prefetch_enabled(bool) noexcept {}
-inline void prefetch_read(const void*) noexcept {}
-inline void prefetch_object(const void*, std::size_t) noexcept {}
-#else
-inline constexpr bool kPrefetchCompiledIn = true;
 inline std::atomic<bool>& prefetch_flag() noexcept {
   static std::atomic<bool> flag{true};
   return flag;
@@ -74,6 +54,5 @@ inline void prefetch_object(const void* p, std::size_t bytes) noexcept {
     __builtin_prefetch(c + off, /*rw=*/0, /*locality=*/3);
   }
 }
-#endif
 
 }  // namespace hybrids::mem

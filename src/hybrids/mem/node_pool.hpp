@@ -16,8 +16,8 @@
 // OS only by the pool destructor, so even a racy late read of a recycled
 // tower touches mapped memory; correctness of such windows is EBR's job.
 //
-// With -DHYBRIDS_NO_ARENA, or when mem::arena_enabled() was false at pool
-// construction, every call passes through to aligned operator new/delete.
+// When mem::arena_enabled() was false at pool construction, every call
+// passes through to aligned operator new/delete.
 #pragma once
 
 #include <atomic>

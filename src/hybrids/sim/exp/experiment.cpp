@@ -100,10 +100,10 @@ ExperimentResult finalize(const RunControl& control, System& sys,
 // Skiplist actors
 // ---------------------------------------------------------------------------
 
-Task<void> lockfree_skiplist_actor(System& sys, RunControl& control,
-                                   SimLockFreeSkipList& ds,
-                                   const ExperimentConfig& cfg,
-                                   std::uint32_t thread) {
+Task<void> lock_free_skiplist_actor(System& sys, RunControl& control,
+                                    SimLockFreeSkipList& ds,
+                                    const ExperimentConfig& cfg,
+                                    std::uint32_t thread) {
   HostCtx c{&sys, thread};
   workload::OpStream stream(cfg.workload, thread);
   util::Xoshiro256 rng(cfg.workload.seed ^ (0xABCDu + thread));
@@ -363,7 +363,7 @@ ExperimentResult run_skiplist_experiment(SkiplistKind kind,
       auto ds = std::make_unique<SimLockFreeSkipList>(total_height);
       ds->populate(keys, populate_rng);
       for (std::uint32_t t = 0; t < config.threads; ++t) {
-        sys.engine().spawn(lockfree_skiplist_actor(sys, control, *ds, config, t));
+        sys.engine().spawn(lock_free_skiplist_actor(sys, control, *ds, config, t));
       }
       sys.engine().run();
       return finalize(control, sys, total_ops);

@@ -1,6 +1,6 @@
 #include "hybrids/trace/trace.hpp"
 
-#if !defined(HYBRIDS_NO_TRACE) && !defined(HYBRIDS_NO_TELEMETRY)
+#if !defined(HYBRIDS_NO_TELEMETRY)
 
 #include <algorithm>
 #include <memory>

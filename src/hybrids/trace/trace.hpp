@@ -27,12 +27,11 @@
 // in `PubSlot::done_ns` / `SimSlot::done_at` (plain stores sequenced before
 // the kDone release store, like every other slot field).
 //
-// The whole layer compiles out under HYBRIDS_NO_TRACE, and also under
-// HYBRIDS_NO_TELEMETRY (it depends on telemetry's clock and thread
-// ordinals): every function below becomes an empty inline and instrumented
-// call sites dead-code behind `tok.sampled()` / `trace_id == 0` checks. With
-// tracing compiled in but the sample rate at 0 (the default), begin_op() is
-// a single relaxed atomic load.
+// The whole layer compiles out under HYBRIDS_NO_TELEMETRY (it depends on
+// telemetry's clock and thread ordinals): every function below becomes an
+// empty inline and instrumented call sites dead-code behind `tok.sampled()`
+// / `trace_id == 0` checks. With tracing compiled in but the sample rate at
+// 0 (the default), begin_op() is a single relaxed atomic load.
 //
 // Export: trace/export.hpp turns a drained trace into Chrome trace-event
 // JSON (chrome://tracing, https://ui.perfetto.dev) and a per-phase latency
@@ -48,7 +47,7 @@
 
 namespace hybrids::trace {
 
-#if defined(HYBRIDS_NO_TRACE) || defined(HYBRIDS_NO_TELEMETRY)
+#if defined(HYBRIDS_NO_TELEMETRY)
 inline constexpr bool kCompiledIn = false;
 #else
 inline constexpr bool kCompiledIn = true;
@@ -238,7 +237,7 @@ struct TraceData {
   std::uint64_t sampled_ops = 0;  // ops begin_op() elected to trace
 };
 
-#if defined(HYBRIDS_NO_TRACE) || defined(HYBRIDS_NO_TELEMETRY)
+#if defined(HYBRIDS_NO_TELEMETRY)
 
 // Compiled out: the API keeps its shape so call sites and benches build
 // unchanged; everything is an empty inline and tokens never sample.

@@ -1,24 +1,24 @@
-// Tests for the fat-node host index (ds/fat_skiplist.hpp) and the HostIndex
-// facade that selects between it and the pointer-node LfSkipList:
+// Tests for the fat-node host index (ds/fat_skiplist.hpp):
 //  - oracle-exact single-thread behaviour (point ops, churn, scans, splits,
-//    node death and re-insertion into a dead node's range),
+//    node death and re-insertion into a dead node's range, View semantics),
+//  - descent and writer-walk cost after churn (no walk re-crosses a level
+//    from its head),
 //  - the seqlock/B-link concurrency story (split-during-descent readers,
 //    disjoint-range churn, removal races) — these double as the TSan targets,
 //  - EBR retirement bounds and quiescent drain for both entries and fat nodes,
-//  - HostIndex facade parity across both engines and shortcut-token
-//    freshness semantics.
+//  - versioned mirror writes and shortcut-token freshness semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
+#include <random>
 #include <set>
 #include <thread>
 #include <vector>
 
-#include <random>
-
-#include "hybrids/ds/host_index.hpp"
+#include "hybrids/ds/fat_skiplist.hpp"
 #include "hybrids/mem/ebr.hpp"
 #include "hybrids/telemetry/registry.hpp"
 #include "hybrids/util/rng.hpp"
@@ -36,9 +36,16 @@ void mem_advance() {
   hybrids::mem::Ebr::try_advance();
   hybrids::mem::Ebr::try_advance();
 }
-}  // namespace
 
-#if !defined(HYBRIDS_NO_FATNODE)
+// 1..n in a seeded random order.
+std::vector<Key> shuffled_keys(std::size_t n, std::uint64_t seed) {
+  std::vector<Key> keys(n);
+  for (std::size_t i = 0; i < n; ++i) keys[i] = static_cast<Key>(i + 1);
+  std::mt19937_64 rng(seed);
+  std::shuffle(keys.begin(), keys.end(), rng);
+  return keys;
+}
+}  // namespace
 
 // ---------- FatSkipList: single-threaded, oracle-exact ----------
 
@@ -226,6 +233,140 @@ TEST(FatSkipList, ScanMatchesOracle) {
   EXPECT_EQ(got, expect);
 }
 
+TEST(FatSkipList, ViewMatchesOracleAfterChurn) {
+  hd::FatSkipList list(8);
+  std::map<Key, Value> oracle;
+  hu::Xoshiro256 rng(0xF00D);
+  for (int i = 0; i < 4000; ++i) {
+    const Key k = static_cast<Key>(rng.next() % 512) + 1;
+    if ((rng.next() & 1u) != 0) {
+      hd::FatSkipList::Entry* e = list.make_entry(k, k * 2);
+      const bool fresh = list.insert_node(e);
+      if (!fresh) list.free_unlinked(e);
+      EXPECT_EQ(fresh, oracle.emplace(k, k * 2).second);
+    } else {
+      EXPECT_EQ(list.remove(k), oracle.erase(k) != 0);
+    }
+  }
+  EXPECT_EQ(list.size(), oracle.size());
+  EXPECT_TRUE(list.validate());
+  for (Key k = 1; k <= 513; ++k) {
+    hd::FatSkipList::View w;
+    const bool hit = list.find(k, w);
+    auto it = oracle.find(k);
+    EXPECT_EQ(hit, it != oracle.end()) << "key " << k;
+    if (hit) {
+      ASSERT_NE(w.match, nullptr);
+      EXPECT_EQ(w.match->key, k);
+    } else {
+      EXPECT_EQ(w.match, nullptr);
+      auto lb = oracle.lower_bound(k);
+      if (lb == oracle.begin()) {
+        EXPECT_EQ(w.pred, nullptr) << "key " << k;
+      } else {
+        ASSERT_NE(w.pred, nullptr) << "key " << k;
+        EXPECT_EQ(w.pred->key, std::prev(lb)->first) << "key " << k;
+      }
+    }
+    // The token a View hands out reads fresh while nothing mutates.
+    ASSERT_NE(w.leaf, nullptr) << "key " << k;
+    EXPECT_TRUE(list.node_version_is(w.leaf, w.leaf_version)) << "key " << k;
+  }
+  std::vector<Key> seen;
+  list.for_each_entry([&](hd::FatSkipList::Entry* e) { seen.push_back(e->key); });
+  ASSERT_EQ(seen.size(), oracle.size());
+  EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
+  for (int i = 0; i < 6 && list.retired_count() > 0; ++i) {
+    mem_advance();
+    (void)list.reclaim_retired();
+  }
+  EXPECT_EQ(list.retired_count(), 0u);
+}
+
+TEST(FatSkipList, ShortcutTokenGoesStaleOnLeafMutation) {
+  hd::FatSkipList list(8);
+  for (Key k = 10; k <= 40; k += 10) ASSERT_TRUE(list.insert(k, k));
+  hd::FatSkipList::View w;
+  ASSERT_TRUE(list.find(20, w));
+  ASSERT_NE(w.leaf, nullptr);
+  ASSERT_TRUE(list.node_version_is(w.leaf, w.leaf_version));
+  // Unrelated reads leave the token fresh.
+  hd::FatSkipList::View w2;
+  ASSERT_TRUE(list.find(30, w2));
+  EXPECT_TRUE(list.node_version_is(w.leaf, w.leaf_version));
+  // Any mutation of that leaf — here an insert landing beside key 20 —
+  // bumps the seqlock and retires the token.
+  ASSERT_TRUE(list.insert(21, 21));
+  EXPECT_FALSE(list.node_version_is(w.leaf, w.leaf_version));
+  // A re-descent mints a fresh token.
+  ASSERT_TRUE(list.find(20, w));
+  EXPECT_TRUE(list.node_version_is(w.leaf, w.leaf_version));
+}
+
+TEST(FatSkipList, VersionedUpdateKeepsNewestValue) {
+  hd::FatSkipList list(4);
+  hd::FatSkipList::Entry* e = list.make_entry(1, 10);
+  ASSERT_TRUE(list.insert_node(e));
+  ASSERT_EQ(list.get_node(1), e);
+  hd::FatSkipList::update_versioned(e, 2, 222);
+  hd::FatSkipList::update_versioned(e, 1, 111);  // stale version: ignored
+  EXPECT_EQ(e->value_now(), 222u);
+  hd::FatSkipList::update_versioned(e, 3, 333);
+  EXPECT_EQ(e->value_now(), 333u);
+  Value v = 0;
+  ASSERT_TRUE(list.get(1, v));
+  EXPECT_EQ(v, 333u);
+}
+
+// ---------- FatSkipList: walk cost after churn ----------
+
+TEST(FatSkipList, DescentsStayShortAfterRandomRemovals) {
+  // Removing a random half leaves many nodes whose anchor key is gone. A
+  // descent that lands on one must resume just left of it instead of
+  // re-walking the level from its head.
+  hd::FatSkipList list(8);
+  const std::vector<Key> keys = shuffled_keys(std::size_t{1} << 14, 14);
+  const std::size_t half = keys.size() / 2;
+  for (Key k : keys) ASSERT_TRUE(list.insert(k, k));
+  for (std::size_t i = 0; i < half; ++i) ASSERT_TRUE(list.remove(keys[i]));
+  ASSERT_TRUE(list.validate());
+  const auto scanned = [] {
+    return hybrids::telemetry::snapshot().counter_total(
+        hybrids::telemetry::names::kHostNodeKeysScanned);
+  };
+  const std::uint64_t before = scanned();
+  hd::FatSkipList::View w;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(list.find(keys[i], w), i >= half) << "key " << keys[i];
+  }
+  const std::uint64_t after = scanned();
+#if !defined(HYBRIDS_NO_TELEMETRY)
+  const double per_find =
+      static_cast<double>(after - before) / static_cast<double>(keys.size());
+  EXPECT_LT(per_find, 64.0) << "keys examined per find";
+#else
+  EXPECT_EQ(after, before);
+#endif
+}
+
+TEST(FatSkipList, ShuffledInsertRemoveStaysFast) {
+  // Every remove, node death (unlink + parent routing sweep) and split
+  // routing insert starts from a descent, so 2^17 shuffled inserts and
+  // removes take well under a second; a walk from the level head makes each
+  // remove linear in the level size (tens of seconds at this size).
+  hd::FatSkipList list(12);
+  const std::vector<Key> keys = shuffled_keys(std::size_t{1} << 17, 17);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (Key k : keys) ASSERT_TRUE(list.insert(k, k));
+  for (Key k : shuffled_keys(keys.size(), 71)) ASSERT_TRUE(list.remove(k));
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  EXPECT_EQ(list.size(), 0u);
+  ASSERT_TRUE(list.validate());
+  EXPECT_LT(secs, 10.0) << "2^17 inserts + removes";
+}
+
 // ---------- FatSkipList: EBR retirement ----------
 
 TEST(FatSkipList, RetireBoundedAndDrainsQuiescent) {
@@ -388,107 +529,3 @@ TEST(FatSkipList, ContendedSameKeyInsertRemove) {
   }
   EXPECT_EQ(list.size(), resident);
 }
-
-#endif  // !HYBRIDS_NO_FATNODE
-
-// ---------- HostIndex facade ----------
-
-namespace {
-
-// Restores the process-wide layout toggle on scope exit so test order
-// never leaks a mode change.
-struct LayoutToggle {
-  explicit LayoutToggle(bool on) : prev(hd::fatnode_enabled()) {
-    hd::set_fatnode_enabled(on);
-  }
-  ~LayoutToggle() { hd::set_fatnode_enabled(prev); }
-  bool prev;
-};
-
-void exercise_host_index(bool want_fat) {
-  LayoutToggle toggle(want_fat);
-  hd::HostIndex idx(8);
-  EXPECT_EQ(idx.fat(), want_fat && hd::kFatnodeCompiledIn);
-  std::map<Key, Value> oracle;
-  hu::Xoshiro256 rng(want_fat ? 0xF00D : 0xBEEF);
-  for (int i = 0; i < 4000; ++i) {
-    const Key k = static_cast<Key>(rng.next() % 512) + 1;
-    if ((rng.next() & 1u) != 0) {
-      hd::HostIndex::Node* n = idx.make_node(k, k * 2, 1);
-      const bool fresh = idx.insert_node(n);
-      if (!fresh) idx.free_unlinked(n);
-      EXPECT_EQ(fresh, oracle.emplace(k, k * 2).second);
-    } else {
-      EXPECT_EQ(idx.remove(k), oracle.erase(k) != 0);
-    }
-  }
-  EXPECT_EQ(idx.size(), oracle.size());
-  EXPECT_TRUE(idx.validate());
-  // Window semantics agree with the oracle in both engines.
-  for (Key k = 1; k <= 513; ++k) {
-    hd::HostIndex::Window w;
-    const bool hit = idx.find(k, w);
-    auto it = oracle.find(k);
-    EXPECT_EQ(hit, it != oracle.end()) << "key " << k;
-    if (hit) {
-      ASSERT_NE(w.match, nullptr);
-      EXPECT_EQ(w.match->key, k);
-    } else {
-      EXPECT_EQ(w.match, nullptr);
-      auto lb = oracle.lower_bound(k);
-      if (lb == oracle.begin()) {
-        EXPECT_EQ(w.pred, nullptr) << "key " << k;
-      } else {
-        ASSERT_NE(w.pred, nullptr) << "key " << k;
-        EXPECT_EQ(w.pred->key, std::prev(lb)->first) << "key " << k;
-      }
-    }
-    // Whatever token the engine handed out must read fresh while untouched.
-    EXPECT_TRUE(idx.shortcut_fresh(w.leaf, w.leaf_version)) << "key " << k;
-  }
-  // Ordered visitation.
-  std::vector<Key> seen;
-  idx.for_each_entry([&](hd::HostIndex::Node* n) { seen.push_back(n->key); });
-  ASSERT_EQ(seen.size(), oracle.size());
-  EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
-  for (int i = 0; i < 6 && idx.retired_count() > 0; ++i) {
-    mem_advance();
-    (void)idx.reclaim_retired();
-  }
-  EXPECT_EQ(idx.retired_count(), 0u);
-}
-
-}  // namespace
-
-TEST(HostIndex, PointerNodeEngineMatchesOracle) { exercise_host_index(false); }
-
-TEST(HostIndex, FatEngineMatchesOracle) { exercise_host_index(true); }
-
-#if !defined(HYBRIDS_NO_FATNODE)
-
-TEST(HostIndex, ShortcutTokenGoesStaleOnLeafMutation) {
-  LayoutToggle toggle(true);
-  hd::HostIndex idx(8);
-  for (Key k = 10; k <= 40; k += 10) {
-    hd::HostIndex::Node* n = idx.make_node(k, k, 1);
-    ASSERT_TRUE(idx.insert_node(n));
-  }
-  hd::HostIndex::Window w;
-  ASSERT_TRUE(idx.find(20, w));
-  ASSERT_NE(w.leaf, nullptr);
-  ASSERT_TRUE(idx.shortcut_fresh(w.leaf, w.leaf_version));
-  // Unrelated reads leave the token fresh.
-  hd::HostIndex::Window w2;
-  ASSERT_TRUE(idx.find(30, w2));
-  EXPECT_TRUE(idx.shortcut_fresh(w.leaf, w.leaf_version));
-  // Any mutation of that leaf — here an insert landing beside key 20 —
-  // bumps the seqlock and retires the token.
-  hd::HostIndex::Node* n = idx.make_node(21, 21, 1);
-  ASSERT_TRUE(idx.insert_node(n));
-  EXPECT_FALSE(idx.shortcut_fresh(w.leaf, w.leaf_version));
-  // A re-descent mints a fresh token.
-  ASSERT_TRUE(idx.find(20, w));
-  EXPECT_TRUE(idx.shortcut_fresh(w.leaf, w.leaf_version));
-}
-
-#endif  // !HYBRIDS_NO_FATNODE

@@ -1,11 +1,7 @@
 // Memory-layer unit tests: partition arenas, the sharded host node pool,
-// epoch-based reclamation, and the structures' recycle paths.
-//
-// Several tests assert recycling behaviour that only exists when the arena
-// machinery is compiled in AND runtime-enabled; those skip themselves under
-// -DHYBRIDS_NO_ARENA so the no-arena CI build still runs the rest (alignment
-// and passthrough guarantees hold in every mode). The multi-thread hammer at
-// the bottom is the TSan target for the pool + EBR interplay.
+// epoch-based reclamation, and the structures' recycle paths. The pool + EBR
+// interplay under multi-threaded churn is exercised by fatnode_test.cpp's
+// concurrency cases (TSan targets).
 
 #include <gtest/gtest.h>
 
@@ -16,14 +12,13 @@
 #include <thread>
 #include <vector>
 
-#include "hybrids/ds/lockfree_skiplist.hpp"
+#include "hybrids/ds/fat_skiplist.hpp"
 #include "hybrids/ds/seq_skiplist.hpp"
 #include "hybrids/mem/arena.hpp"
 #include "hybrids/mem/ebr.hpp"
 #include "hybrids/mem/memlayer.hpp"
 #include "hybrids/mem/node_pool.hpp"
 #include "hybrids/types.hpp"
-#include "hybrids/util/rng.hpp"
 
 namespace {
 
@@ -68,7 +63,6 @@ TEST(PartitionArena, AlignmentEveryClass) {
 }
 
 TEST(PartitionArena, FreelistReusesSameBlock) {
-  if (!mem::kArenaCompiledIn) GTEST_SKIP() << "built with HYBRIDS_NO_ARENA";
   mem::PartitionArena arena;
   void* a = arena.allocate(192);
   void* b = arena.allocate(192);
@@ -89,7 +83,6 @@ TEST(PartitionArena, FreelistReusesSameBlock) {
 }
 
 TEST(PartitionArena, OversizeFallsThroughToNew) {
-  if (!mem::kArenaCompiledIn) GTEST_SKIP() << "built with HYBRIDS_NO_ARENA";
   mem::PartitionArena arena;
   const std::size_t before = arena.chunk_count();
   void* p = arena.allocate(8192);  // > kMemClasses * 64
@@ -99,7 +92,6 @@ TEST(PartitionArena, OversizeFallsThroughToNew) {
 }
 
 TEST(PartitionArena, DestructionReleasesAllChunks) {
-  if (!mem::kArenaCompiledIn) GTEST_SKIP() << "built with HYBRIDS_NO_ARENA";
   const std::int64_t before =
       mem::debug::live_chunks().load(std::memory_order_relaxed);
   {
@@ -119,7 +111,6 @@ TEST(PartitionArena, DestructionReleasesAllChunks) {
 }
 
 TEST(PartitionArena, RuntimeDisabledIsPassthrough) {
-  if (!mem::kArenaCompiledIn) GTEST_SKIP() << "built with HYBRIDS_NO_ARENA";
   ArenaToggleGuard restore;
   mem::set_arena_enabled(false);
   mem::PartitionArena arena;  // captures the toggle at construction
@@ -139,7 +130,6 @@ TEST(PartitionArena, RuntimeDisabledIsPassthrough) {
 // SeqSkipList retire classes on top of the arena
 
 TEST(SeqSkipListMem, ShortNodeRecyclesAfterRemove) {
-  if (!mem::kArenaCompiledIn) GTEST_SKIP() << "built with HYBRIDS_NO_ARENA";
   ds::SeqSkipList list(6);
   // Short node: host_ptr == nullptr, so unlink() hands it straight back.
   (void)list.insert(10, 100, 1, nullptr, list.head());
@@ -152,7 +142,6 @@ TEST(SeqSkipListMem, ShortNodeRecyclesAfterRemove) {
 }
 
 TEST(SeqSkipListMem, TallNodeParksUntilDestruction) {
-  if (!mem::kArenaCompiledIn) GTEST_SKIP() << "built with HYBRIDS_NO_ARENA";
   ds::SeqSkipList list(6);
   int dummy_host = 0;
   // Tall node with a host counterpart: the never-reuse rule applies.
@@ -166,7 +155,6 @@ TEST(SeqSkipListMem, TallNodeParksUntilDestruction) {
 }
 
 TEST(SeqSkipListMem, DestructionReleasesEverything) {
-  if (!mem::kArenaCompiledIn) GTEST_SKIP() << "built with HYBRIDS_NO_ARENA";
   const std::int64_t before =
       mem::debug::live_chunks().load(std::memory_order_relaxed);
   {
@@ -188,7 +176,6 @@ TEST(SeqSkipListMem, DestructionReleasesEverything) {
 // NodePool
 
 TEST(NodePool, RecycleAndAlignment) {
-  if (!mem::kArenaCompiledIn) GTEST_SKIP() << "built with HYBRIDS_NO_ARENA";
   mem::NodePool pool;
   void* a = pool.allocate(192);
   EXPECT_TRUE(aligned64(a));
@@ -205,7 +192,6 @@ TEST(NodePool, RecycleAndAlignment) {
 }
 
 TEST(NodePool, DestructionReleasesChunks) {
-  if (!mem::kArenaCompiledIn) GTEST_SKIP() << "built with HYBRIDS_NO_ARENA";
   const std::int64_t before =
       mem::debug::live_chunks().load(std::memory_order_relaxed);
   {
@@ -218,7 +204,6 @@ TEST(NodePool, DestructionReleasesChunks) {
 }
 
 TEST(NodePool, RuntimeDisabledIsPassthrough) {
-  if (!mem::kArenaCompiledIn) GTEST_SKIP() << "built with HYBRIDS_NO_ARENA";
   ArenaToggleGuard restore;
   mem::set_arena_enabled(false);
   mem::NodePool pool;
@@ -290,88 +275,25 @@ TEST(Ebr, GuardsAreReentrant) {
 }
 
 // ---------------------------------------------------------------------------
-// LfSkipList reclamation through the pool
+// FatSkipList reclamation through the pool
 
-TEST(LfSkipListMem, ChurnKeepsRetiredBoundedAndDrains) {
-  ds::LfSkipList list(8);
-  util::Xoshiro256 rng(42);
-  // Churn: sustained insert/remove cycles. The periodic drain inside
-  // remove() must keep the retired backlog within a few drain windows.
-  for (int round = 0; round < 50; ++round) {
-    for (Key k = 1; k <= 64; ++k) {
-      EXPECT_TRUE(list.insert(k, k * 3, ds::random_height(rng, 8)));
-    }
-    for (Key k = 1; k <= 64; ++k) {
-      EXPECT_TRUE(list.remove(k));
-    }
-    EXPECT_LE(list.retired_count(), 192u)
-        << "retired towers growing with churn at round " << round;
-  }
-  EXPECT_EQ(list.size(), 0u);
-  // Quiescent drain: each reclaim advances the epoch once, so the two-epoch
-  // grace period elapses within a couple of calls.
-  for (int i = 0; i < 4 && list.retired_count() > 0; ++i) {
-    (void)list.reclaim_retired();
-  }
-  EXPECT_EQ(list.retired_count(), 0u);
-  EXPECT_TRUE(list.validate());
-}
-
-TEST(LfSkipListMem, ReclaimedTowersAreRecycled) {
-  if (!mem::kArenaCompiledIn) GTEST_SKIP() << "built with HYBRIDS_NO_ARENA";
-  ds::LfSkipList list(8);
-  // Fixed height so the freed towers land in one size class.
-  for (Key k = 1; k <= 8; ++k) EXPECT_TRUE(list.insert(k, k, 4));
-  for (Key k = 1; k <= 8; ++k) EXPECT_TRUE(list.remove(k));
-  for (int i = 0; i < 4 && list.retired_count() > 0; ++i) {
+TEST(FatSkipListMem, ReclaimedBlocksAreRecycled) {
+  ds::FatSkipList list(8);
+  // Enough keys to split leaves, so node deaths retire fat nodes as well.
+  for (Key k = 1; k <= 64; ++k) EXPECT_TRUE(list.insert(k, k));
+  for (Key k = 1; k <= 64; ++k) EXPECT_TRUE(list.remove(k));
+  for (int i = 0; i < 6 && list.retired_count() > 0; ++i) {
+    mem::Ebr::try_advance();
     (void)list.reclaim_retired();
   }
   ASSERT_EQ(list.retired_count(), 0u);
   const std::size_t chunks = list.pool().chunk_count();
-  // Reinserting the same towers must be served from the freed blocks: no new
-  // chunk gets mapped.
-  for (Key k = 1; k <= 8; ++k) EXPECT_TRUE(list.insert(k, k, 4));
+  // Reinserting must be served from the freed blocks (entries from the pool
+  // freelist, fat nodes from the structure's own freelist): no new chunk
+  // gets mapped.
+  for (Key k = 1; k <= 64; ++k) EXPECT_TRUE(list.insert(k, k));
   EXPECT_EQ(list.pool().chunk_count(), chunks);
   EXPECT_TRUE(list.validate());
-}
-
-// TSan target: pool allocation/reclamation raced from several threads, with
-// the EBR grace period standing between a remove and the tower's reuse.
-TEST(LfSkipListMem, MultiThreadChurnHammer) {
-  constexpr std::uint32_t kThreads = 4;
-  constexpr std::uint32_t kRounds = 300;
-  constexpr Key kStripe = 128;
-  ds::LfSkipList list(10);
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (std::uint32_t t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      util::Xoshiro256 rng(0xABCDEF + t);
-      // Disjoint stripes so every op's expected result is deterministic.
-      for (std::uint32_t round = 0; round < kRounds; ++round) {
-        for (Key i = 1; i <= kStripe; ++i) {
-          const Key k = i * kThreads + t;
-          EXPECT_TRUE(list.insert(k, k, ds::random_height(rng, 10)));
-        }
-        for (Key i = 1; i <= kStripe; ++i) {
-          const Key k = i * kThreads + t;
-          Value out = 0;
-          EXPECT_TRUE(list.get(k, out));
-          EXPECT_EQ(out, k);
-        }
-        for (Key i = 1; i <= kStripe; ++i) {
-          EXPECT_TRUE(list.remove(i * kThreads + t));
-        }
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  EXPECT_EQ(list.size(), 0u);
-  EXPECT_TRUE(list.validate());
-  for (int i = 0; i < 4 && list.retired_count() > 0; ++i) {
-    (void)list.reclaim_retired();
-  }
-  EXPECT_EQ(list.retired_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -386,12 +308,9 @@ TEST(Prefetch, SafeOnAnyPointerAndToggleable) {
   mem::set_prefetch_enabled(false);
   mem::prefetch_read(buf);
   mem::prefetch_object(buf, sizeof(buf));
+  EXPECT_FALSE(mem::prefetch_enabled());
   mem::set_prefetch_enabled(true);
-  if (mem::kPrefetchCompiledIn) {
-    EXPECT_TRUE(mem::prefetch_enabled());
-  } else {
-    EXPECT_FALSE(mem::prefetch_enabled());
-  }
+  EXPECT_TRUE(mem::prefetch_enabled());
 }
 
 }  // namespace

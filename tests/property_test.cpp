@@ -7,9 +7,9 @@
 #include <map>
 #include <tuple>
 
+#include "hybrids/ds/fat_skiplist.hpp"
 #include "hybrids/ds/hybrid_btree.hpp"
 #include "hybrids/ds/hybrid_skiplist.hpp"
-#include "hybrids/ds/lockfree_skiplist.hpp"
 #include "hybrids/ds/seqlock_btree.hpp"
 #include "hybrids/sim/mem/cache.hpp"
 #include "hybrids/util/rng.hpp"
@@ -185,31 +185,35 @@ INSTANTIATE_TEST_SUITE_P(
                       BTreeGeometry{4, 2, 0.5}));
 
 // ---------------------------------------------------------------------------
-// Lock-free skiplist: heights sweep
+// Fat-node host index: heights sweep
 // ---------------------------------------------------------------------------
 
-class LfSkipListHeight : public ::testing::TestWithParam<int> {};
+class FatSkipListHeight : public ::testing::TestWithParam<int> {};
 
-TEST_P(LfSkipListHeight, InvariantsHoldAfterChurn) {
+TEST_P(FatSkipListHeight, InvariantsHoldAfterChurn) {
   const int height = GetParam();
-  hd::LfSkipList list(height);
+  hd::FatSkipList list(height);
   hu::Xoshiro256 rng(height);
   std::map<Key, Value> model;
   for (int i = 0; i < 5000; ++i) {
     Key k = static_cast<Key>(1 + rng.next_below(500));
     if (rng.next() & 1) {
       Value v = static_cast<Value>(rng.next());
-      ASSERT_EQ(list.insert(k, v, hd::random_height(rng, height)),
-                model.emplace(k, v).second);
+      ASSERT_EQ(list.insert(k, v), model.emplace(k, v).second);
     } else {
       ASSERT_EQ(list.remove(k), model.erase(k) > 0);
     }
   }
   EXPECT_EQ(list.size(), model.size());
   EXPECT_TRUE(list.validate());
+  for (const auto& [k, v] : model) {
+    Value got = 0;
+    ASSERT_TRUE(list.get(k, got)) << "key " << k;
+    EXPECT_EQ(got, v);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Heights, LfSkipListHeight,
+INSTANTIATE_TEST_SUITE_P(Heights, FatSkipListHeight,
                          ::testing::Values(1, 2, 3, 5, 8, 16, 24, 32));
 
 // ---------------------------------------------------------------------------

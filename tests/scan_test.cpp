@@ -140,8 +140,10 @@ TEST(ScanProtocol, ScanFromStaleBeginNodeRetries) {
   nmp::Response resp;
   hd::HybridSkipList::apply(list, 4, 0, stale, from_head, req, resp);
   EXPECT_TRUE(resp.retry);
-  EXPECT_EQ(stale.value(), 1u);
-  EXPECT_EQ(from_head.value(), 0u);
+  if (tel::kEnabled) {  // counters are no-ops under HYBRIDS_NO_TELEMETRY
+    EXPECT_EQ(stale.value(), 1u);
+    EXPECT_EQ(from_head.value(), 0u);
+  }
 
   // The host's retry drops the shortcut: same request from the partition
   // head succeeds and returns the surviving keys.
@@ -150,7 +152,9 @@ TEST(ScanProtocol, ScanFromStaleBeginNodeRetries) {
   hd::HybridSkipList::apply(list, 4, 0, stale, from_head, req, resp);
   EXPECT_FALSE(resp.retry);
   EXPECT_TRUE(resp.ok);
-  EXPECT_EQ(from_head.value(), 1u);
+  if (tel::kEnabled) {
+    EXPECT_EQ(from_head.value(), 1u);
+  }
   ASSERT_EQ(resp.value, 2u);
   EXPECT_EQ(buf[0].key, 20u);
   EXPECT_EQ(buf[1].key, 30u);
@@ -324,7 +328,10 @@ TEST(HybridSkipListScan, OracleSlicesAndPartitionHops) {
     }
   }
   // The full-range scans above crossed all 4 partitions repeatedly.
-  EXPECT_GT(tel::counter(tel::names::kScanPartitionHops).value(), hops_before);
+  if (tel::kEnabled) {
+    EXPECT_GT(tel::counter(tel::names::kScanPartitionHops).value(),
+              hops_before);
+  }
 }
 
 TEST(HybridBTreeScan, OracleSlicesAfterChurn) {

@@ -1,6 +1,6 @@
-// Tests for the skiplist family: sequential partition skiplist, lock-free
-// skiplist (baseline), NMP-based flat-combining skiplist (prior work), and
-// the hybrid skiplist (paper §3.3).
+// Tests for the skiplist family: sequential partition skiplist, NMP-based
+// flat-combining skiplist (prior work), and the hybrid skiplist (paper
+// §3.3). The hybrid's host index has its own suite in fatnode_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "hybrids/ds/hybrid_skiplist.hpp"
-#include "hybrids/ds/lockfree_skiplist.hpp"
 #include "hybrids/ds/nmp_skiplist.hpp"
 #include "hybrids/ds/seq_skiplist.hpp"
 #include "hybrids/util/rng.hpp"
@@ -201,107 +200,6 @@ TEST(NmpSkipList, BatchApplyMatchesSequentialApply) {
   }
   EXPECT_EQ(a, nullptr);
   EXPECT_EQ(b, nullptr);
-}
-
-// ---------- LfSkipList ----------
-
-TEST(LfSkipList, SequentialMatchesReferenceModel) {
-  hd::LfSkipList list(12);
-  std::map<Key, Value> model;
-  hu::Xoshiro256 rng(7);
-  for (int i = 0; i < 30000; ++i) {
-    Key k = static_cast<Key>(1 + rng.next_below(3000));
-    switch (rng.next_below(4)) {
-      case 0: {
-        Value v = static_cast<Value>(rng.next());
-        int h = hd::random_height(rng, 12);
-        EXPECT_EQ(list.insert(k, v, h), model.emplace(k, v).second);
-        break;
-      }
-      case 1:
-        EXPECT_EQ(list.remove(k), model.erase(k) > 0);
-        break;
-      case 2: {
-        Value v = static_cast<Value>(rng.next());
-        bool present = model.count(k) > 0;
-        EXPECT_EQ(list.update(k, v), present);
-        if (present) model[k] = v;
-        break;
-      }
-      default: {
-        Value v = 0;
-        auto it = model.find(k);
-        ASSERT_EQ(list.get(k, v), it != model.end());
-        if (it != model.end()) { EXPECT_EQ(v, it->second); }
-      }
-    }
-  }
-  EXPECT_EQ(list.size(), model.size());
-  EXPECT_TRUE(list.validate());
-}
-
-TEST(LfSkipList, ConcurrentStripedInsertsAllLand) {
-  hd::LfSkipList list(16);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 3000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      hu::Xoshiro256 rng(100 + t);
-      for (int i = 0; i < kPerThread; ++i) {
-        Key k = static_cast<Key>(1 + i * kThreads + t);  // disjoint stripes
-        ASSERT_TRUE(list.insert(k, k, hd::random_height(rng, 16)));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(list.size(), std::size_t{kThreads} * kPerThread);
-  EXPECT_TRUE(list.validate());
-  Value v = 0;
-  for (int i = 0; i < kThreads * kPerThread; ++i) {
-    ASSERT_TRUE(list.get(static_cast<Key>(1 + i), v));
-  }
-}
-
-TEST(LfSkipList, ConcurrentInsertRemoveContention) {
-  // All threads fight over the same small key range; afterwards the list
-  // must equal the set of keys whose net effect was an insert.
-  hd::LfSkipList list(12);
-  constexpr int kThreads = 4;
-  std::vector<std::thread> threads;
-  std::atomic<long long> net[64] = {};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      hu::Xoshiro256 rng(500 + t);
-      for (int i = 0; i < 5000; ++i) {
-        Key k = static_cast<Key>(1 + rng.next_below(64));
-        if (rng.next() & 1) {
-          if (list.insert(k, k, hd::random_height(rng, 12))) net[k - 1].fetch_add(1);
-        } else {
-          if (list.remove(k)) net[k - 1].fetch_sub(1);
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_TRUE(list.validate());
-  for (Key k = 1; k <= 64; ++k) {
-    const long long n = net[k - 1].load();
-    ASSERT_TRUE(n == 0 || n == 1) << "net effect must be 0 or 1";
-    EXPECT_EQ(list.contains(k), n == 1) << "key " << k;
-  }
-}
-
-TEST(LfSkipList, VersionedUpdateKeepsNewestValue) {
-  hd::LfSkipList list(4);
-  ASSERT_TRUE(list.insert(1, 10, 2));
-  hd::LfSkipList::Node* n = list.get_node(1);
-  ASSERT_NE(n, nullptr);
-  hd::LfSkipList::update_versioned(n, 2, 222);
-  hd::LfSkipList::update_versioned(n, 1, 111);  // stale version: ignored
-  EXPECT_EQ(n->value_now(), 222u);
-  hd::LfSkipList::update_versioned(n, 3, 333);
-  EXPECT_EQ(n->value_now(), 333u);
 }
 
 // ---------- NmpSkipList ----------

@@ -4,8 +4,8 @@
 // breakdown's attribution/coverage arithmetic.
 //
 // Sampler and Ring are always compiled, so their tests run even in
-// -DHYBRIDS_NO_TRACE builds; tests of the global recording API skip there
-// (the API collapses to empty inlines).
+// -DHYBRIDS_NO_TELEMETRY builds; tests of the global recording API skip
+// there (the API collapses to empty inlines).
 
 #include <gtest/gtest.h>
 
