@@ -3,6 +3,9 @@
 // paper reports (§5).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "hybrids/sim/exp/experiment.hpp"
 #include "hybrids/workload/ycsb.hpp"
 
@@ -130,6 +133,39 @@ TEST(SimExperiment, DeterministicAcrossRuns) {
   auto b = hs::run_skiplist_experiment(hs::SkiplistKind::kHybridBlocking, cfg);
   EXPECT_EQ(a.duration, b.duration);
   EXPECT_EQ(a.mem.dram_reads_total(), b.mem.dram_reads_total());
+}
+
+TEST(SimExperiment, GoldenSmallScale) {
+  // Exact simulated duration (ticks) and DRAM reads for every design at the
+  // DeterministicAcrossRuns size. The simulator is deterministic, so any
+  // change to its behaviour shows up here as a changed constant; update the
+  // table only together with an explanation of why the simulation moved.
+  struct Golden {
+    std::uint64_t duration;
+    std::uint64_t dram_reads;
+  };
+  auto cfg = small_config(1 << 14, 2);
+  const std::pair<hs::SkiplistKind, Golden> skiplists[] = {
+      {hs::SkiplistKind::kLockFree, {604368100, 15277}},
+      {hs::SkiplistKind::kNmp, {617358750, 26515}},
+      {hs::SkiplistKind::kHybridBlocking, {537407950, 18477}},
+      {hs::SkiplistKind::kHybridNonBlocking, {347155750, 18445}},
+  };
+  for (const auto& [kind, golden] : skiplists) {
+    hs::ExperimentResult r = hs::run_skiplist_experiment(kind, cfg);
+    EXPECT_EQ(r.duration, golden.duration) << hs::to_string(kind);
+    EXPECT_EQ(r.mem.dram_reads_total(), golden.dram_reads) << hs::to_string(kind);
+  }
+  const std::pair<hs::BTreeKind, Golden> btrees[] = {
+      {hs::BTreeKind::kHostOnly, {271749450, 7063}},
+      {hs::BTreeKind::kHybridBlocking, {273299700, 7097}},
+      {hs::BTreeKind::kHybridNonBlocking, {256856600, 7147}},
+  };
+  for (const auto& [kind, golden] : btrees) {
+    hs::ExperimentResult r = hs::run_btree_experiment(kind, cfg);
+    EXPECT_EQ(r.duration, golden.duration) << hs::to_string(kind);
+    EXPECT_EQ(r.mem.dram_reads_total(), golden.dram_reads) << hs::to_string(kind);
+  }
 }
 
 TEST(OffloadDelays, ComponentsSumAndCompareToLlcMiss) {
