@@ -33,12 +33,9 @@
 // begin-node derivation.
 //
 // Concurrency: both tiers are set-associative arrays split into spinlocked
-// shards; a lookup, fill, or erase touches exactly one shard. Capacity is
-// fixed when a tier is built (resident bytes can never exceed the budget).
-// set_budget()/set_value_ratio() build FRESH tiers and publish them with an
-// atomic pointer swap; superseded tiers are parked until destruction so
-// concurrent readers never chase freed memory (resizes are controller
-// knobs, rate-limited by its hysteresis — the parked set stays tiny).
+// shards; a lookup, fill, or erase touches exactly one shard. The budget and
+// its value/shortcut split are fixed at construction, which sizes both tiers
+// once (resident bytes can never exceed the budget).
 //
 // Off switch: a structure whose cache_budget_bytes is 0 never constructs a
 // HotCache, and every integration site skips behind its null check.
@@ -48,7 +45,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "hybrids/telemetry/registry.hpp"
@@ -90,10 +86,10 @@ class HotCache {
     std::size_t capacity_bytes = 0;    // allocated entry bytes (<= budget)
   };
 
-  explicit HotCache(const Config& config)
-      : config_(config),
-        budget_bytes_(config.budget_bytes),
-        value_ratio_(config.value_ratio) {
+  /// Sizes both tiers from the budget: per-tier slot count floors to whole
+  /// buckets so capacity never exceeds the budget; tiny tiers collapse to
+  /// zero buckets (tier disabled) rather than over-allocating.
+  explicit HotCache(const Config& config) {
     namespace tn = telemetry::names;
     hits_ = &telemetry::counter(tn::kCacheHits);
     misses_ = &telemetry::counter(tn::kCacheMisses);
@@ -104,10 +100,14 @@ class HotCache {
     for (std::uint32_t p = 0; p < nparts; ++p) {
       parts_.push_back(std::make_unique<util::CacheAligned<PartitionState>>());
     }
-    tiers_.store(build_tiers(config_), std::memory_order_release);
+    const std::size_t vbytes = static_cast<std::size_t>(
+        static_cast<double>(config.budget_bytes) * config.value_ratio);
+    const std::size_t sbytes =
+        config.budget_bytes > vbytes ? config.budget_bytes - vbytes : 0;
+    build_tier(value_, vbytes / sizeof(ValueEntry), /*value_tier=*/true);
+    build_tier(shortcut_, sbytes / sizeof(ShortcutEntry),
+               /*value_tier=*/false);
   }
-
-  ~HotCache() { delete tiers_.load(std::memory_order_acquire); }
 
   HotCache(const HotCache&) = delete;
   HotCache& operator=(const HotCache&) = delete;
@@ -120,10 +120,9 @@ class HotCache {
   /// the partition before descending): entries filled before the
   /// partition's last bounce never hit.
   bool lookup_value(Key key, Value& out) {
-    Tiers& t = current();
     bool hit = false;
-    if (t.value.buckets != 0) {
-      Shard& sh = t.value.shard(key);
+    if (value_.buckets != 0) {
+      Shard& sh = value_.shard(key);
       LockGuard g(sh.lock);
       ValueEntry* e = find(sh.vslots, sh.buckets, key);
       if (e != nullptr && e->gen == generation(e->partition)) {
@@ -149,15 +148,14 @@ class HotCache {
   /// caller captured it) — the `update_versioned` discard rule.
   void fill_value(Key key, std::uint32_t part, Value value,
                   std::uint64_t version, std::uint64_t gen) {
-    Tiers& t = current();
-    if (t.value.buckets == 0) return;
+    if (value_.buckets == 0) return;
     PartitionState& ps = state(part);
     if (version < ps.floor.load(std::memory_order_acquire) ||
         gen != ps.gen.load(std::memory_order_acquire)) {
       note_invalidation();
       return;
     }
-    Shard& sh = t.value.shard(key);
+    Shard& sh = value_.shard(key);
     {
       LockGuard g(sh.lock);
       ValueEntry* e = find(sh.vslots, sh.buckets, key);
@@ -193,9 +191,8 @@ class HotCache {
                                            std::memory_order_release,
                                            std::memory_order_relaxed)) {
     }
-    Tiers& t = current();
-    if (t.value.buckets == 0) return;
-    Shard& sh = t.value.shard(key);
+    if (value_.buckets == 0) return;
+    Shard& sh = value_.shard(key);
     LockGuard g(sh.lock);
     ValueEntry* e = find(sh.vslots, sh.buckets, key);
     if (e != nullptr) {
@@ -208,9 +205,8 @@ class HotCache {
   // ----- shortcut tier ------------------------------------------------------
 
   bool lookup_shortcut(Key key, Shortcut& out) {
-    Tiers& t = current();
-    if (t.shortcut.buckets == 0) return false;
-    Shard& sh = t.shortcut.shard(key);
+    if (shortcut_.buckets == 0) return false;
+    Shard& sh = shortcut_.shard(key);
     bool hit = false;
     {
       LockGuard g(sh.lock);
@@ -237,13 +233,12 @@ class HotCache {
   void fill_shortcut(Key key, std::uint32_t part, void* node,
                      std::uint64_t aux, std::uint64_t gen,
                      void* host = nullptr) {
-    Tiers& t = current();
-    if (t.shortcut.buckets == 0 || node == nullptr) return;
+    if (shortcut_.buckets == 0 || node == nullptr) return;
     if (gen != state(part).gen.load(std::memory_order_acquire)) {
       note_invalidation();
       return;
     }
-    Shard& sh = t.shortcut.shard(key);
+    Shard& sh = shortcut_.shard(key);
     {
       LockGuard g(sh.lock);
       ShortcutEntry* e = find(sh.sslots, sh.buckets, key);
@@ -266,9 +261,8 @@ class HotCache {
   /// The combiner reported the cached begin reference stale (marked node /
   /// parent-seqnum mismatch): drop it so the next descent refills.
   void erase_shortcut(Key key) {
-    Tiers& t = current();
-    if (t.shortcut.buckets == 0) return;
-    Shard& sh = t.shortcut.shard(key);
+    if (shortcut_.buckets == 0) return;
+    Shard& sh = shortcut_.shard(key);
     LockGuard g(sh.lock);
     ShortcutEntry* e = find(sh.sslots, sh.buckets, key);
     if (e != nullptr) {
@@ -293,48 +287,19 @@ class HotCache {
     note_invalidation();
   }
 
-  // ----- knobs (controller / tests) -----------------------------------------
-  // Rebuilds drop all entries: correct by construction, and cheap at the
-  // controller's hysteresis-limited call rate.
-
-  void set_budget(std::size_t bytes) {
-    std::lock_guard<std::mutex> g(rebuild_mu_);
-    config_.budget_bytes = bytes;
-    budget_bytes_.store(bytes, std::memory_order_relaxed);
-    publish(build_tiers(config_));
-  }
-
-  void set_value_ratio(double ratio) {
-    if (ratio < 0.0) ratio = 0.0;
-    if (ratio > 1.0) ratio = 1.0;
-    std::lock_guard<std::mutex> g(rebuild_mu_);
-    config_.value_ratio = ratio;
-    value_ratio_.store(ratio, std::memory_order_relaxed);
-    publish(build_tiers(config_));
-  }
-
-  std::size_t budget() const {
-    return budget_bytes_.load(std::memory_order_relaxed);
-  }
-  double value_ratio() const {
-    return value_ratio_.load(std::memory_order_relaxed);
-  }
-
-  /// Occupied entry bytes across both tiers; <= capacity_bytes() <= budget().
+  /// Occupied entry bytes across both tiers; <= capacity_bytes() <= budget.
   std::size_t bytes() const {
-    const Tiers& t = current();
-    return t.value.occupied() * sizeof(ValueEntry) +
-           t.shortcut.occupied() * sizeof(ShortcutEntry);
+    return value_.occupied() * sizeof(ValueEntry) +
+           shortcut_.occupied() * sizeof(ShortcutEntry);
   }
 
   std::size_t capacity_bytes() const {
-    const Tiers& t = current();
-    return t.value.slots() * sizeof(ValueEntry) +
-           t.shortcut.slots() * sizeof(ShortcutEntry);
+    return value_.slots() * sizeof(ValueEntry) +
+           shortcut_.slots() * sizeof(ShortcutEntry);
   }
 
-  std::size_t value_capacity() const { return current().value.slots(); }
-  std::size_t shortcut_capacity() const { return current().shortcut.slots(); }
+  std::size_t value_capacity() const { return value_.slots(); }
+  std::size_t shortcut_capacity() const { return shortcut_.slots(); }
 
   Stats stats() const {
     Stats s;
@@ -424,11 +389,6 @@ class HotCache {
     Shard& shard(Key key) { return **shards[hash(key) % shards.size()]; }
   };
 
-  struct Tiers {
-    Tier value;
-    Tier shortcut;
-  };
-
   struct PartitionState {
     std::atomic<std::uint64_t> floor{0};
     std::atomic<std::uint64_t> gen{0};
@@ -469,8 +429,6 @@ class HotCache {
     return &way[0];
   }
 
-  Tiers& current() const { return *tiers_.load(std::memory_order_acquire); }
-
   PartitionState& state(std::uint32_t part) {
     return **parts_[part % parts_.size()];
   }
@@ -478,21 +436,6 @@ class HotCache {
   void note_invalidation() {
     invalidations_->inc();
     stat_invalidations_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Sizes both tiers from the budget: per-tier slot count floors to whole
-  /// buckets so capacity never exceeds the budget; tiny tiers collapse to
-  /// zero buckets (tier disabled) rather than over-allocating.
-  static Tiers* build_tiers(const Config& config) {
-    auto t = std::make_unique<Tiers>();
-    const std::size_t vbytes = static_cast<std::size_t>(
-        static_cast<double>(config.budget_bytes) * config.value_ratio);
-    const std::size_t sbytes =
-        config.budget_bytes > vbytes ? config.budget_bytes - vbytes : 0;
-    build_tier(t->value, vbytes / sizeof(ValueEntry), /*value_tier=*/true);
-    build_tier(t->shortcut, sbytes / sizeof(ShortcutEntry),
-               /*value_tier=*/false);
-    return t.release();
   }
 
   static void build_tier(Tier& tier, std::size_t max_slots, bool value_tier) {
@@ -513,26 +456,13 @@ class HotCache {
     }
   }
 
-  /// Swaps in freshly built tiers; the superseded generation is parked (not
-  /// freed) so concurrent readers that already resolved a shard pointer
-  /// stay safe. Caller holds rebuild_mu_.
-  void publish(Tiers* fresh) {
-    Tiers* old = tiers_.exchange(fresh, std::memory_order_acq_rel);
-    retired_.emplace_back(old);
-  }
-
-  Config config_;  // mutated only under rebuild_mu_
-  // Lock-free mirrors of the two knobs for concurrent getters.
-  std::atomic<std::size_t> budget_bytes_;
-  std::atomic<double> value_ratio_;
-  std::atomic<Tiers*> tiers_{nullptr};
-  std::mutex rebuild_mu_;
-  std::vector<std::unique_ptr<Tiers>> retired_;  // parked until destruction
+  Tier value_;
+  Tier shortcut_;
   // unique_ptr: PartitionState holds atomics, the vector must never move it.
   std::vector<std::unique_ptr<util::CacheAligned<PartitionState>>> parts_;
 
   // Process-wide telemetry (shared across instances by name) plus per-
-  // instance totals for stats()/the controller.
+  // instance totals for stats().
   telemetry::Counter* hits_;
   telemetry::Counter* misses_;
   telemetry::Counter* invalidations_;

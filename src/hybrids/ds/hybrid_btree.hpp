@@ -67,8 +67,8 @@ class HybridBTree {
     // Host-side hot-key cache: one byte budget split between the value tier
     // (reads served without touching the tree) and the shortcut tier
     // (begin-subtree refs + their offloaded parent seqnums, skipping the
-    // host descent for warm read/update keys). 0 = off; the split is a live
-    // knob (HotCache::set_value_ratio). See src/hybrids/cache/hot_cache.hpp.
+    // host descent for warm read/update keys). 0 = off; the split is fixed
+    // at construction. See src/hybrids/cache/hot_cache.hpp.
     std::size_t cache_budget_bytes = 0;
     double cache_value_ratio = 0.5;
   };

@@ -73,14 +73,6 @@ class HybridSkipList {
     std::uint32_t slots_per_thread = 4;
     std::uint64_t seed = 1;
 
-    // Adaptive promotion (§7 extension): when a short (NMP-only) key is
-    // accessed `promote_threshold` times, it is raised into the host-managed
-    // portion, up to `promote_budget` promotions. 0 disables. The budget is
-    // a live knob (set_promote_budget) so the cache controller can move the
-    // host-managed split online.
-    std::uint32_t promote_threshold = 0;
-    std::uint32_t promote_budget = 0;
-
     // Hot-key cache (cache/hot_cache.hpp): shared byte budget for the
     // value + shortcut tiers; 0 disables.
     // The shortcut tier serves read/update descents; insert/remove/scan
@@ -126,8 +118,7 @@ class HybridSkipList {
   explicit HybridSkipList(const Config& config)
       : config_(config),
         host_(config.host_height()),
-        set_(make_partition_config(config)),
-        promote_budget_(config.promote_budget) {
+        set_(make_partition_config(config)) {
     assert(config.total_height > config.nmp_height);
     assert(config.nmp_height >= 1);
     if (config.cache_budget_bytes > 0) {
@@ -148,7 +139,6 @@ class HybridSkipList {
       lists_.push_back(std::make_unique<SeqSkipList>(config.nmp_height));
       SeqSkipList* list = lists_.back().get();
       const int nmp_height = config.nmp_height;
-      const std::uint32_t threshold = config.promote_threshold;
       // Per-partition retry-cause counters, captured by the handler so the
       // combiner hot path never touches the registry map.
       auto* stale = &telemetry::counter(tn::kRetryStaleBeginNode,
@@ -157,10 +147,9 @@ class HybridSkipList {
                                             static_cast<std::int32_t>(p));
       auto* scan_len = &telemetry::latency(tn::kScanLen,
                                            static_cast<std::int32_t>(p));
-      set_.set_handler(p, [list, nmp_height, threshold, stale, from_head,
-                           scan_len](const nmp::Request& req,
-                                     nmp::Response& resp) {
-        apply(*list, nmp_height, threshold, *stale, *from_head, req, resp);
+      set_.set_handler(p, [list, nmp_height, stale, from_head, scan_len](
+                              const nmp::Request& req, nmp::Response& resp) {
+        apply(*list, nmp_height, *stale, *from_head, req, resp);
         if (req.op == nmp::OpCode::kScan && !resp.retry) {
           scan_len->record(resp.value);
         }
@@ -280,7 +269,6 @@ class HybridSkipList {
         budget.note_retry();
         continue;
       }
-      if (r.promote_hint) try_promote(key, tid);
       *out = r.value;
       if (cache_ != nullptr && r.ok) {
         // r.aux echoes the partition's current version for reads, so this
@@ -367,7 +355,6 @@ class HybridSkipList {
         }
       }
       if (r.ok) refresh_mirror(key, r, value);
-      if (r.promote_hint) try_promote(key, tid);
       if (tok.sampled()) {
         trace::end_op(tok, telemetry::now_ns(), op8, part16,
                       /*offloaded=*/true);
@@ -584,67 +571,7 @@ class HybridSkipList {
     co_return filled;
   }
 
-  /// Adaptive promotion (§7 extension): raise `key` — reported hot by its
-  /// NMP core — into the host-managed portion. Replaces the short NMP node
-  /// with a full-height one and links a host counterpart, making future
-  /// reads of the key servable from the host cache. Bounded by
-  /// promote_budget; safe to call concurrently (at most one promotion per
-  /// key fires, because the hint is raised exactly when the counter crosses
-  /// the threshold on the serializing combiner).
-  void try_promote(Key key, std::uint32_t tid) {
-    const std::uint32_t budget =
-        promote_budget_.load(std::memory_order_relaxed);
-    if (config_.promote_threshold == 0 || budget == 0) return;
-    if (promoted_.fetch_add(1, std::memory_order_relaxed) >= budget) {
-      promoted_.fetch_sub(1, std::memory_order_relaxed);
-      return;
-    }
-    FatSkipList::Entry* hnode = host_.make_entry(key, 0);
-    const std::uint32_t part = set_.partition_of(key);
-    nmp::Request req;
-    {
-      mem::EbrGuard guard;
-      FatSkipList::View w;
-      (void)host_.find(key, w);
-      req = make_request(nmp::OpCode::kPromote, key, 0, 0, w.pred, hnode,
-                         part, /*force_head=*/false);
-    }
-    nmp::Response r = set_.call(part, tid, req);
-    if (!r.ok) {  // key vanished or was already promoted meanwhile
-      host_.free_unlinked(hnode);
-      promoted_.fetch_sub(1, std::memory_order_relaxed);
-      return;
-    }
-    // Seed the host mirror with the value captured at promotion time, then
-    // link it; later updates supersede it via versioning (the promote bumped
-    // the NMP-side version, so r.aux is strictly newer than any prior update).
-    FatSkipList::update_versioned(hnode, static_cast<std::uint32_t>(r.aux),
-                                  r.value);
-    hnode->payload = r.node;
-    if (!host_.insert_node(hnode)) {
-      host_.free_unlinked(hnode);
-      promoted_.fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
-
-  /// Number of promotions performed so far (quiescent reads for tests).
-  std::uint32_t promoted() const {
-    return promoted_.load(std::memory_order_relaxed);
-  }
-
-  /// Live promote-budget knob: the cache controller raises it when
-  /// partitions are queue-bound (more host-mirrored keys absorb reads
-  /// host-side) and lowers it when host levels are pure overhead. Lowering
-  /// does not demote already-promoted keys; it only stops further growth.
-  void set_promote_budget(std::uint32_t budget) {
-    promote_budget_.store(budget, std::memory_order_relaxed);
-  }
-  std::uint32_t promote_budget() const {
-    return promote_budget_.load(std::memory_order_relaxed);
-  }
-
-  /// The hot-key cache, or nullptr when disabled (budget 0). Exposed for the
-  /// controller and tests.
+  /// The hot-key cache, or nullptr when disabled (budget 0).
   cache::HotCache* hot_cache() { return cache_.get(); }
 
   // ----- introspection (quiescent-only) --------------------------------------
@@ -809,11 +736,10 @@ class HybridSkipList {
 
  public:
   /// NMP-side of every operation (runs on the partition's combiner thread;
-  /// mirrors Listing 2, plus the §7 adaptive-promotion extension). Public so
-  /// protocol unit tests can drive the combiner side deterministically (e.g.
-  /// a kScan against a logically-deleted begin node) without the runtime
-  /// around it.
-  static void apply(SeqSkipList& list, int nmp_height, std::uint32_t threshold,
+  /// mirrors Listing 2). Public so protocol unit tests can drive the combiner
+  /// side deterministically (e.g. a kScan against a logically-deleted begin
+  /// node) without the runtime around it.
+  static void apply(SeqSkipList& list, int nmp_height,
                     telemetry::Counter& stale_retries,
                     telemetry::Counter& begin_from_head,
                     const nmp::Request& req, nmp::Response& resp) {
@@ -831,15 +757,6 @@ class HybridSkipList {
       // No usable host shortcut: traversal starts at the partition head.
       begin_from_head.inc();
     }
-    // Exactly one access observes the counter crossing the threshold, so at
-    // most one promotion fires per key (the combiner serializes accesses).
-    auto note_access = [&](SeqSkipList::Node* n) {
-      if (threshold == 0 || n == nullptr) return;
-      ++n->hits;
-      if (n->hits == threshold && n->host_ptr == nullptr) {
-        resp.promote_hint = true;
-      }
-    };
     switch (req.op) {
       case nmp::OpCode::kRead: {
         SeqSkipList::Node* n = list.read(req.key, begin);
@@ -851,7 +768,6 @@ class HybridSkipList {
         // the fill floor — a never-updated key would otherwise sit below
         // the floor forever and be permanently uncacheable.
         resp.aux = list.current_version();
-        note_access(n);
         break;
       }
       case nmp::OpCode::kUpdate: {
@@ -864,17 +780,6 @@ class HybridSkipList {
           // mirror-refresh relies on once towers are pool-recycled.
           n->version = list.next_version();
           resp.node = n->host_ptr;  // host refreshes its mirror (if tall)
-          resp.aux = n->version;
-        }
-        note_access(n);
-        break;
-      }
-      case nmp::OpCode::kPromote: {
-        SeqSkipList::Node* n = list.promote(req.key, req.host_node);
-        resp.ok = n != nullptr;
-        if (n != nullptr) {
-          resp.node = n;
-          resp.value = n->value;
           resp.aux = n->version;
         }
         break;
@@ -929,8 +834,6 @@ class HybridSkipList {
   std::vector<std::unique_ptr<SeqSkipList>> lists_;
   std::vector<util::CacheAligned<util::Xoshiro256>> rngs_;
   std::unique_ptr<cache::HotCache> cache_;  // null when disabled
-  std::atomic<std::uint32_t> promoted_{0};
-  std::atomic<std::uint32_t> promote_budget_;  // live knob (controller)
   // Host-layer telemetry: reads served from the host cache mirror, and
   // NMP responses that requested a retry (stale begin node).
   telemetry::Counter* host_read_hits_;

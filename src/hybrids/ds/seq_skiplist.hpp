@@ -56,7 +56,6 @@ class SeqSkipList {
     Key key;
     Value value;
     std::uint32_t version;  // bumped on every update (host mirror ordering)
-    std::uint32_t hits;     // accesses observed (adaptive promotion, §7)
     std::uint16_t height;   // number of levels this node is linked at
     bool marked;            // logically deleted (stale-begin detection)
     void* host_ptr;         // host-side counterpart (null for short nodes)
@@ -65,6 +64,10 @@ class SeqSkipList {
     Node(const Node&) = delete;
     Node& operator=(const Node&) = delete;
   };
+  // Towers up to height 5 fit one 64-byte arena block, so a new node field
+  // is a footprint decision.
+  static_assert(sizeof(Node) + 4 * sizeof(Node*) <= mem::kMemAlign,
+                "a height-5 SeqSkipList tower must fit one arena block");
 
   /// `max_height` is the number of NMP-managed levels (NMP_HEIGHT in the
   /// paper's pseudocode); for the non-hybrid NMP baseline it is the full
@@ -94,8 +97,8 @@ class SeqSkipList {
 
   /// Next value version, strictly greater than any previously issued by this
   /// list. Callers (the combiner apply paths) stamp it on every update,
-  /// promotion, and host-mirrored insert, so host mirror writes for a key
-  /// can never be re-ordered by a remove/re-insert of that key.
+  /// insert and remove, so host mirror writes for a key can never be
+  /// re-ordered by a remove/re-insert of that key.
   std::uint32_t next_version() { return ++version_counter_; }
 
   /// Latest issued version (combiner-thread only, like next_version()). Read
@@ -326,37 +329,6 @@ class SeqSkipList {
     return true;
   }
 
-  /// Adaptive promotion (§7 extension): replaces the short node holding
-  /// `key` with a full-height node carrying the same value/version/hits, so
-  /// that it can gain a host-side counterpart and serve as a valid
-  /// begin-NMP-traversal target. The old node is marked (stale-begin
-  /// detection) and retired. Returns the new node, or null if the key is
-  /// absent or already full height.
-  Node* promote(Key key, void* host_ptr) {
-    Node* preds[kMaxLevels];
-    Node* succs[kMaxLevels];
-    Node* found = find(key, head_, preds, succs);
-    if (found == nullptr || found->height == max_height_) return nullptr;
-    Node* nn = alloc_node(key, found->value, max_height_, host_ptr);
-    // Stamp a fresh version so the host can seed its mirror at a version
-    // strictly above any pre-promotion update, and future updates strictly
-    // above that (next_version() is monotonic over the whole list).
-    nn->version = next_version();
-    nn->hits = found->hits;
-    found->marked = true;
-    for (int l = found->height - 1; l >= 0; --l) {
-      if (preds[l]->next[l] == found) preds[l]->next[l] = found->next[l];
-    }
-    for (int l = 0; l < max_height_; ++l) {
-      nn->next[l] = l < found->height ? found->next[l] : succs[l];
-      preds[l]->next[l] = nn;
-    }
-    // The replaced node is always short (full-height nodes are not promoted)
-    // and so host-unreferenced: recycle it immediately.
-    free_node(found);
-    return nn;  // size unchanged: one node replaced another
-  }
-
   /// Checks the skiplist property: nodes at level i are a subset of nodes at
   /// level i-1, keys strictly ascend at every level, and no reachable node
   /// is marked. For tests.
@@ -398,7 +370,6 @@ class SeqSkipList {
     n->key = key;
     n->value = value;
     n->version = 0;
-    n->hits = 0;
     n->height = static_cast<std::uint16_t>(height);
     n->marked = false;
     n->host_ptr = host_ptr;

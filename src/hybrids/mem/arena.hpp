@@ -6,8 +6,8 @@
 // Nodes are carved from contiguous 64-byte-aligned chunks (bump allocation:
 // a partition's working set packs into few pages instead of scattering
 // across the heap), and freed nodes are recycled through per-size-class
-// freelists, so delete-less retire paths (skiplist remove/promote) stop
-// leaking for the lifetime of the structure.
+// freelists, so delete-less retire paths (skiplist remove) stop leaking for
+// the lifetime of the structure.
 //
 // Ownership rule (see docs/ARCHITECTURE.md §memory-layer): every allocate()
 // and deallocate() on a PartitionArena must come from the thread that owns

@@ -39,8 +39,6 @@ NmpCore::NmpCore(std::uint32_t id, std::uint32_t slot_count, Handler handler)
   metrics_.occupancy = &telemetry::latency(tn::kScanOccupancy, p);
   metrics_.batch = &telemetry::latency(tn::kCombinerBatch, p);
   metrics_.batch_size = &telemetry::latency(tn::kBatchSize, p);
-  metrics_.trace_queue_wait = &telemetry::counter(tn::kTraceQueueWaitNs, p);
-  metrics_.trace_service = &telemetry::counter(tn::kTraceServiceNs, p);
 }
 
 NmpCore::~NmpCore() { stop(); }
@@ -224,11 +222,6 @@ void NmpCore::complete(const Picked& picked, std::uint64_t service_ns,
       trace::record_span(picked.trace_id, trace::Phase::kReply,
                          picked.pickup_ns + service_ns, done, op, part, 0,
                          track);
-      // Attribution feed for ext_adaptive_skew / the adaptive-split loop:
-      // how much of the traced ops' offloaded time this partition spent
-      // queueing vs. serving.
-      metrics_.trace_queue_wait->add(picked.pickup_ns - picked.posted_ns);
-      metrics_.trace_service->add(service_ns);
     }
   }
 }

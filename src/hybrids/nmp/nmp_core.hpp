@@ -154,8 +154,6 @@ class NmpCore {
     telemetry::LatencyRecorder* occupancy;   // pending slots at scan start
     telemetry::LatencyRecorder* batch;       // requests served per scan pass
     telemetry::LatencyRecorder* batch_size;  // ops per batch-handler call
-    telemetry::Counter* trace_queue_wait;    // traced ops: queue-wait ns total
-    telemetry::Counter* trace_service;       // traced ops: service ns total
   };
 
   /// One request picked up by a scan pass, with the metadata that must be

@@ -41,8 +41,7 @@ enum class OpCode : std::uint8_t {
   kRemove,
   kResumeInsert,
   kUnlockPath,
-  kPromote,  // adaptive extension (§7): raise a hot key into the host portion
-  kScan,     // partition-local range-scan chunk (up to kScanChunk entries)
+  kScan,  // partition-local range-scan chunk (up to kScanChunk entries)
   kNop,
 };
 
@@ -62,7 +61,6 @@ inline const char* op_code_name(OpCode op) noexcept {
     case OpCode::kRemove: return "remove";
     case OpCode::kResumeInsert: return "resume_insert";
     case OpCode::kUnlockPath: return "unlock_path";
-    case OpCode::kPromote: return "promote";
     case OpCode::kScan: return "scan";
     case OpCode::kNop: return "nop";
   }
@@ -99,16 +97,14 @@ struct Request {
   std::uint64_t aux = 0;     // skiplist: tower height; B+ tree: parent seqnum
   std::uint64_t trace_id = 0;  // sampled-op id (trace/trace.hpp); 0: untraced.
                                // Rides the request so the combiner can
-                               // attribute queue-wait/apply/reply phases and
-                               // per-partition trace.* counters to the op.
+                               // attribute queue-wait/apply/reply phases to
+                               // the op.
 };
 
 struct Response {
   bool ok = false;         // operation return value (found/inserted/removed)
   bool retry = false;      // begin-NMP-traversal node went stale: retry op
   bool lock_path = false;  // B+ tree: host must lock its path, then resume
-  bool promote_hint = false;  // adaptive skiplist: key crossed the hotness
-                              // threshold; host should issue kPromote
   bool has_more = false;   // kScan: partition holds further keys >= aux
   bool failed_over = false;  // partition was fenced while this op was in
                              // flight (or posted against a fenced lane): the

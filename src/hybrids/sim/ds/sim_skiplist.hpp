@@ -27,19 +27,9 @@
 
 namespace hybrids::sim {
 
-/// Diagnostic counters for the hybrid skiplist (reset by tests/benches).
-struct SimHybridCounters {
-  std::uint64_t promote_calls = 0;
-  std::uint64_t stale_retries = 0;
-  std::uint64_t offloads = 0;
-  std::uint64_t begin_from_head = 0;  // offloads without a begin shortcut
-};
-inline SimHybridCounters g_hybrid_counters;
-
 struct SimSkipNode {
   Key key;
   Value value;
-  std::uint32_t hits;  // accesses observed (adaptive promotion, §7)
   std::uint16_t height;
   bool marked;
   void* xref;  // counterpart across the host/NMP boundary (hybrid only)
@@ -56,7 +46,6 @@ struct SimSkipNode {
     auto* n = static_cast<SimSkipNode*>(arena.allocate(bytes, 128));
     n->key = key;
     n->value = value;
-    n->hits = 0;
     n->height = static_cast<std::uint16_t>(height);
     n->marked = false;
     n->xref = xref;
@@ -206,32 +195,6 @@ class SimSkipRegion {
       for (int l = 0; l < found->height; ++l) co_await c.node(preds[l], /*write=*/true);
       co_return true;
     }
-  }
-
-  /// Adaptive promotion (§7 extension): replace the short node holding
-  /// `key` with a full-height node (same value, bumped version semantics are
-  /// host-side in the sim). Charged like a find plus the relink writes.
-  template <typename Ctx>
-  Task<SimSkipNode*> promote(Ctx& c, Key key) {
-    SimSkipNode* preds[kMaxLevels];
-    SimSkipNode* succs[kMaxLevels];
-    SimSkipNode* found = co_await find(c, head_, key, preds, succs);
-    if (found == nullptr || found->height == max_height_) co_return nullptr;
-    SimSkipNode* nn = SimSkipNode::make(arena_, key, found->value, max_height_,
-                                        nullptr);
-    nn->hits = found->hits;
-    found->marked = true;
-    for (int l = found->height - 1; l >= 0; --l) {
-      if (preds[l]->next[l] == found) preds[l]->next[l] = found->next[l];
-    }
-    retired_.push_back(found);
-    for (int l = 0; l < max_height_; ++l) {
-      nn->next[l] = l < found->height ? found->next[l] : succs[l];
-      preds[l]->next[l] = nn;
-    }
-    co_await c.node(nn, /*write=*/true);
-    for (int l = 0; l < max_height_; ++l) co_await c.node(preds[l], /*write=*/true);
-    co_return nn;
   }
 
   static constexpr int kMaxLevels = 32;
@@ -455,15 +418,11 @@ class SimHybridSkipList {
  public:
   SimHybridSkipList(System& sys, int total_height, int nmp_height,
                     std::uint32_t partitions, Key partition_width,
-                    std::uint32_t slots_per_list,
-                    std::uint32_t promote_threshold = 0,
-                    std::uint32_t promote_budget = 0)
+                    std::uint32_t slots_per_list)
       : sys_(sys),
         nmp_height_(nmp_height),
         host_(total_height - nmp_height),
-        partition_width_(partition_width),
-        promote_threshold_(promote_threshold),
-        promote_budget_(promote_budget) {
+        partition_width_(partition_width) {
     assert(total_height > nmp_height);
     for (std::uint32_t p = 0; p < partitions; ++p) {
       regions_.push_back(std::make_unique<SimSkipRegion>(nmp_height));
@@ -497,7 +456,6 @@ class SimHybridSkipList {
     for (std::uint32_t p = 0; p < partitions(); ++p) {
       SimSkipRegion* region = regions_[p].get();
       const int nmp_height = nmp_height_;
-      const std::uint32_t threshold = promote_threshold_;
       // Per-partition retry-cause counters, registered here so they appear
       // in exports even when they stay zero.
       auto* stale = &telemetry::counter(tn::kRetryStaleBeginNode,
@@ -506,10 +464,8 @@ class SimHybridSkipList {
                                             static_cast<std::int32_t>(p));
       sys_.engine().spawn(sim_combiner(
           sys_, NmpCtx{&sys_, p}, *publists_[p],
-          [region, nmp_height, threshold, stale, from_head](NmpCtx& ctx,
-                                                            SimSlot& slot) {
-            return apply(*region, nmp_height, threshold, *stale, *from_head,
-                         ctx, slot);
+          [region, nmp_height, stale, from_head](NmpCtx& ctx, SimSlot& slot) {
+            return apply(*region, nmp_height, *stale, *from_head, ctx, slot);
           }));
     }
   }
@@ -571,17 +527,15 @@ class SimHybridSkipList {
   }
 
   /// Host-side completion after the NMP response; returns true when done,
-  /// false when the operation must be retried from the start. `slot` is the
-  /// (now free) publication slot, reused for the promotion follow-up.
-  Task<bool> complete(HostCtx& c, const Prepared& prep, const nmp::Response& resp,
-                      std::uint32_t slot, util::Xoshiro256& rng) {
+  /// false when the operation must be retried from the start.
+  Task<bool> complete(HostCtx& c, const Prepared& prep,
+                      const nmp::Response& resp) {
     if (resp.retry) {
       static telemetry::Counter& retries =
           telemetry::counter(telemetry::names::kHostRetryTotal);
       retries.inc();
       co_return false;
     }
-    if (resp.promote_hint) co_await maybe_promote(c, slot, prep.op.key, rng);
     if (prep.req.op == nmp::OpCode::kInsert && resp.ok &&
         static_cast<int>(prep.req.aux) > nmp_height_) {
       // Link the host part of a tall insert (NMP portion first, then host).
@@ -623,7 +577,7 @@ class SimHybridSkipList {
       prep.req.trace_id = tok.id;
       nmp::Response resp =
           co_await sim_call(c, *publists_[prep.partition], slot, prep.req);
-      if (co_await complete(c, prep, resp, slot, rng)) {
+      if (co_await complete(c, prep, resp)) {
         if (tok.sampled()) {
           trace::end_op(tok, sim_trace_ns(sys_), op8, part16,
                         /*offloaded=*/true, c.core);
@@ -638,35 +592,6 @@ class SimHybridSkipList {
 
   SimPubList& publist(std::uint32_t p) { return *publists_[p]; }
 
-  /// Adaptive promotion follow-up (§7): pull the hot key into the host
-  /// portion through a kPromote offload, then link a host counterpart.
-  Task<void> maybe_promote(HostCtx& c, std::uint32_t slot, Key key,
-                           util::Xoshiro256& rng) {
-    if (promote_threshold_ == 0 || promoted_ >= promote_budget_) co_return;
-    ++promoted_;
-    nmp::Request r;
-    r.op = nmp::OpCode::kPromote;
-    r.key = key;
-    const std::uint32_t part = partition_of(key);
-    nmp::Response resp = co_await sim_call(c, *publists_[part], slot, r);
-    if (!resp.ok) {
-      --promoted_;
-      co_return;
-    }
-    const int host_h = SimLockFreeSkipList::random_sim_height(
-        rng, host_.max_height());
-    bool existed = false;
-    SimSkipNode* hn = co_await host_.insert(c, host_.head(), key, resp.value,
-                                            host_h, resp.node, existed);
-    if (!existed && resp.node != nullptr) {
-      static_cast<SimSkipNode*>(resp.node)->xref = hn;
-    } else if (existed) {
-      --promoted_;
-    }
-  }
-
-  std::uint32_t promoted() const { return promoted_; }
-
   std::size_t size() const {
     std::size_t n = 0;
     for (const auto& r : regions_) n += r->size();
@@ -677,44 +602,31 @@ class SimHybridSkipList {
   /// Test/diagnostic access to the regions.
   SimSkipRegion& debug_region(std::uint32_t p) { return *regions_[p]; }
   SimSkipRegion& debug_host() { return host_; }
-  std::uint32_t debug_promoted() const { return promoted_; }
 
  private:
   static Task<void> apply(SimSkipRegion& region, int nmp_height,
-                          std::uint32_t threshold,
                           telemetry::Counter& stale_retries,
                           telemetry::Counter& begin_from_head, NmpCtx& ctx,
                           SimSlot& slot) {
     const nmp::Request req = slot.req;
     SimSkipNode* begin = region.head();
-    ++g_hybrid_counters.offloads;
     if (req.node != nullptr) {
       auto* candidate = static_cast<SimSkipNode*>(req.node);
       co_await ctx.node(candidate);
       if (candidate->marked) {
-        ++g_hybrid_counters.stale_retries;
         stale_retries.inc();
         slot.resp.retry = true;  // stale begin node: host retries (§3.3)
         co_return;
       }
       begin = candidate;
     } else {
-      ++g_hybrid_counters.begin_from_head;
       begin_from_head.inc();
     }
-    auto note_access = [&](SimSkipNode* n) {
-      if (threshold == 0 || n == nullptr) return;
-      ++n->hits;
-      if (n->hits == threshold && n->xref == nullptr) {
-        slot.resp.promote_hint = true;
-      }
-    };
     switch (req.op) {
       case nmp::OpCode::kRead: {
         SimSkipNode* n = co_await region.read(ctx, begin, req.key);
         slot.resp.ok = n != nullptr;
         if (n != nullptr) slot.resp.value = n->value;
-        note_access(n);
         break;
       }
       case nmp::OpCode::kUpdate: {
@@ -724,17 +636,6 @@ class SimHybridSkipList {
           n->value = req.value;
           co_await ctx.node(n, /*write=*/true);
           slot.resp.node = n->xref;  // host mirror to refresh
-        }
-        note_access(n);
-        break;
-      }
-      case nmp::OpCode::kPromote: {
-        ++g_hybrid_counters.promote_calls;
-        SimSkipNode* n = co_await region.promote(ctx, req.key);
-        slot.resp.ok = n != nullptr;
-        if (n != nullptr) {
-          slot.resp.node = n;
-          slot.resp.value = n->value;
         }
         break;
       }
@@ -760,9 +661,6 @@ class SimHybridSkipList {
   int nmp_height_;
   SimSkipRegion host_;
   Key partition_width_;
-  std::uint32_t promote_threshold_ = 0;
-  std::uint32_t promote_budget_ = 0;
-  std::uint32_t promoted_ = 0;
   std::vector<std::unique_ptr<SimSkipRegion>> regions_;
   std::vector<std::unique_ptr<SimPubList>> publists_;
 };

@@ -181,7 +181,7 @@ Task<void> hybrid_skiplist_nonblocking_actor(System& sys, RunControl& control,
     window.pop_front();
     nmp::Response resp =
         co_await sim_collect(c, ds.publist(p.prep.partition), p.slot);
-    if (!co_await ds.complete(c, p.prep, resp, p.slot, rng)) {
+    if (!co_await ds.complete(c, p.prep, resp)) {
       // NMP asked for a retry: fall back to the blocking path.
       co_await ds.run_op_blocking(c, base, p.prep.op, rng);
     }
@@ -383,7 +383,7 @@ ExperimentResult run_skiplist_experiment(SkiplistKind kind,
     case SkiplistKind::kHybridNonBlocking: {
       auto ds = std::make_unique<SimHybridSkipList>(
           sys, total_height, nmp_height, wl.partitions, layout.partition_width(),
-          slots, config.promote_threshold, config.promote_budget);
+          slots);
       ds->populate(keys, populate_rng);
       ds->start_combiners();
       for (std::uint32_t t = 0; t < config.threads; ++t) {

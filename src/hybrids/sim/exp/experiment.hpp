@@ -47,10 +47,6 @@ struct ExperimentConfig {
   // of why the paper's non-NMP baselines miss so often. 0 disables.
   std::uint32_t app_blocks_per_op = 4;
   std::uint64_t app_ws_bytes = 32ull << 20;
-
-  // Adaptive promotion (§7 extension; hybrid skiplist kinds only). 0 = off.
-  std::uint32_t promote_threshold = 0;
-  std::uint32_t promote_budget = 0;
 };
 
 struct ExperimentResult {

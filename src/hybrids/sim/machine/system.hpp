@@ -224,8 +224,6 @@ struct SimCombinerMetrics {
   telemetry::LatencyRecorder* service;
   telemetry::LatencyRecorder* occupancy;
   telemetry::LatencyRecorder* batch;
-  telemetry::Counter* trace_queue_wait;  // traced ops: queue-wait ns total
-  telemetry::Counter* trace_service;     // traced ops: service ns total
 
   explicit SimCombinerMetrics(std::uint32_t vault) {
     namespace tn = telemetry::names;
@@ -241,8 +239,6 @@ struct SimCombinerMetrics {
     service = &telemetry::latency(tn::kServiceNs, p);
     occupancy = &telemetry::latency(tn::kScanOccupancy, p);
     batch = &telemetry::latency(tn::kCombinerBatch, p);
-    trace_queue_wait = &telemetry::counter(tn::kTraceQueueWaitNs, p);
-    trace_service = &telemetry::counter(tn::kTraceServiceNs, p);
   }
 };
 
@@ -290,10 +286,6 @@ inline Task<void> sim_combiner(
                                sim_trace_ns_at(t_applied),
                                sim_trace_ns_at(slot.done_at), op8, part, 0,
                                lane);
-            m.trace_queue_wait->add(
-                static_cast<std::uint64_t>(ticks_to_ns(t0 - slot.posted_at)));
-            m.trace_service->add(
-                static_cast<std::uint64_t>(ticks_to_ns(t_applied - t0)));
           }
         }
         if constexpr (telemetry::kEnabled) {

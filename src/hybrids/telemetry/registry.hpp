@@ -45,8 +45,6 @@ inline constexpr const char* kPartitionDegraded = "partition_degraded";
 inline constexpr const char* kPartitionFailover = "partition_failover";
 inline constexpr const char* kPartitionRecovered = "partition_recovered";
 inline constexpr const char* kFailoverBouncedOps = "failover_bounced_ops";
-inline constexpr const char* kTraceQueueWaitNs = "trace.queue_wait_ns";
-inline constexpr const char* kTraceServiceNs = "trace.service_ns";
 // Global scope (host side).
 inline constexpr const char* kOffloadPosted = "host.offload_posted";
 inline constexpr const char* kCallBlocking = "host.call_blocking";

@@ -5,9 +5,9 @@
 //  * stale fills — a fill below the partition's write floor, or carrying a
 //    pre-bounce generation, is discarded exactly like a stale
 //    update_versioned (never installed, counted as an invalidation);
-//  * budget — capacity is fixed when a tier is built, so resident bytes can
-//    never exceed the configured byte budget, across fills, eviction churn,
-//    and knob-driven rebuilds;
+//  * budget — capacity is fixed when the cache is built, so resident bytes
+//    can never exceed the configured byte budget across fills and eviction
+//    churn, and the value ratio decides which tier gets the larger share;
 //  * failover — bump_generation() stops every hit filled under the old
 //    generation, for both tiers, immediately.
 //
@@ -209,31 +209,23 @@ TEST(HotCacheUnit, ZeroBudgetAlwaysMisses) {
   EXPECT_EQ(cache.capacity_bytes(), 0u);
 }
 
-TEST(HotCacheUnit, KnobRebuildsRespectNewBudgetAndDropEntries) {
-  hc::HotCache cache(unit_config(64 * 1024, 0.5));
-  for (Key k = 1; k <= 200; ++k) {
-    cache.fill_value(k, 0, k, 1, cache.generation(0));
-  }
-  EXPECT_GT(cache.bytes(), 0u);
+TEST(HotCacheUnit, ValueRatioSplitsTheBudgetAtConstruction) {
+  // The value ratio divides one budget between the tiers: capacity stays
+  // within the budget at either extreme and the larger tier follows the
+  // ratio.
+  hc::HotCache shortcut_heavy(unit_config(4 * 1024, 0.1));
+  EXPECT_LE(shortcut_heavy.capacity_bytes(), 4u * 1024u);
+  EXPECT_GT(shortcut_heavy.shortcut_capacity(),
+            shortcut_heavy.value_capacity());
 
-  // Shrink: the fresh tiers must fit the new budget; old entries are gone
-  // (correct by construction — and concurrent readers of the superseded
-  // tiers stay safe, exercised by the chaos runs below).
-  cache.set_budget(4 * 1024);
-  EXPECT_EQ(cache.budget(), 4u * 1024u);
-  EXPECT_LE(cache.capacity_bytes(), 4u * 1024u);
-  EXPECT_EQ(cache.bytes(), 0u);
+  hc::HotCache value_heavy(unit_config(4 * 1024, 0.9));
+  EXPECT_LE(value_heavy.capacity_bytes(), 4u * 1024u);
+  EXPECT_GT(value_heavy.value_capacity(), value_heavy.shortcut_capacity());
 
-  cache.set_value_ratio(0.9);
-  EXPECT_DOUBLE_EQ(cache.value_ratio(), 0.9);
-  EXPECT_LE(cache.capacity_bytes(), 4u * 1024u);
-  // Ratio shifts capacity toward the value tier.
-  EXPECT_GT(cache.value_capacity(), cache.shortcut_capacity());
-
-  // The rebuilt tiers serve normally.
-  cache.fill_value(7, 0, 70, 1, cache.generation(0));
+  // Both tiers serve normally.
+  value_heavy.fill_value(7, 0, 70, 1, value_heavy.generation(0));
   Value v = 0;
-  ASSERT_TRUE(cache.lookup_value(7, v));
+  ASSERT_TRUE(value_heavy.lookup_value(7, v));
   EXPECT_EQ(v, 70u);
 }
 

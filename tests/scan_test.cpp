@@ -138,7 +138,7 @@ TEST(ScanProtocol, ScanFromStaleBeginNodeRetries) {
   req.node = begin;  // stale shortcut from the host's (outdated) view
   req.host_node = buf;
   nmp::Response resp;
-  hd::HybridSkipList::apply(list, 4, 0, stale, from_head, req, resp);
+  hd::HybridSkipList::apply(list, 4, stale, from_head, req, resp);
   EXPECT_TRUE(resp.retry);
   if (tel::kEnabled) {  // counters are no-ops under HYBRIDS_NO_TELEMETRY
     EXPECT_EQ(stale.value(), 1u);
@@ -149,7 +149,7 @@ TEST(ScanProtocol, ScanFromStaleBeginNodeRetries) {
   // head succeeds and returns the surviving keys.
   req.node = nullptr;
   resp = nmp::Response{};
-  hd::HybridSkipList::apply(list, 4, 0, stale, from_head, req, resp);
+  hd::HybridSkipList::apply(list, 4, stale, from_head, req, resp);
   EXPECT_FALSE(resp.retry);
   EXPECT_TRUE(resp.ok);
   if (tel::kEnabled) {
@@ -178,7 +178,7 @@ TEST(ScanProtocol, CombinerClampsChunkToScanChunk) {
   req.value = 10 * nmp::kScanChunk;  // way beyond the per-chunk cap
   req.host_node = buf;
   nmp::Response resp;
-  hd::HybridSkipList::apply(list, 4, 0, stale, from_head, req, resp);
+  hd::HybridSkipList::apply(list, 4, stale, from_head, req, resp);
   EXPECT_TRUE(resp.ok);
   EXPECT_EQ(resp.value, nmp::kScanChunk);
   EXPECT_TRUE(resp.has_more);
